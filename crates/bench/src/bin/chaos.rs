@@ -71,8 +71,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use geyser::store::{is_corrupt_sidecar, read_record_file, write_record_atomic};
-use geyser::{verify_compiled, FaultInjector, PassManager, Technique, Telemetry};
+use geyser::store::{is_corrupt_sidecar, read_record_file, walk_files, write_record_atomic};
+use geyser::{splitmix64, verify_compiled, FaultInjector, PassManager, Technique, Telemetry};
 use geyser_bench::serve::{run_serve, ServeScorecard};
 use geyser_bench::{
     exit_codes, report_json, scan_generation, Cli, SharedCache, CACHE_LOCK_STALE_MS,
@@ -99,16 +99,8 @@ const CHAOS_ROOT: &str = ".geyser-chaos";
 /// same kills against the same schedules.
 const RESTART_CAMPAIGNS: usize = 12;
 
-/// One splitmix64 draw — the repo's standard dependency-free
-/// generator; chaining outputs yields the campaign seed stream.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Deterministic per-campaign generator.
+/// Deterministic per-campaign generator: chained [`splitmix64`]
+/// outputs.
 struct Rng(u64);
 
 impl Rng {
@@ -658,17 +650,10 @@ fn run_cache_leg(cli: &Cli) -> CacheLegCard {
 /// still verify, so only the ε re-verification gate stands between
 /// the garbage and the output. Returns how many entries were doctored.
 fn doctor_reuse_store(dir: &Path) -> u64 {
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| is_reuse_entry(p))
-            .collect(),
-        Err(_) => return 0,
-    };
-    paths.sort();
+    let paths = walk_files(dir).unwrap_or_default();
     let ansatz = Ansatz::new(1);
     let mut doctored = 0u64;
-    for path in paths {
+    for path in paths.into_iter().filter(|p| is_reuse_entry(p)) {
         let Ok(payload) = read_record_file(&path) else {
             continue;
         };

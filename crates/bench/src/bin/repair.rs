@@ -30,16 +30,18 @@
 //!   of the two blessed pipeline configs (`fast`/`paper`).
 //! * `--json PATH` — write the scan report as JSON.
 //!
-//! Classification mirrors the loaders exactly: `ckpt-*` files go
-//! through the checkpoint loader, `*.journal` files through the
-//! journal scanner (a torn tail is reclaimable, mid-file corruption
-//! is not), the shared cache's `generation` header through the frame
-//! check, and everything else `.json` through the cache frame +
-//! schema check, so `repair` can never disagree with the pipeline
-//! about what is loadable. A `compaction.lock` is reported but never
-//! touched — only a compactor may judge it stale. Corrupt files are
-//! moved aside with the same structured warning (path + digest) and
-//! `store_corrupt_total` accounting the runtime uses.
+//! Classification mirrors the loaders exactly: every file goes through
+//! the store protocol's validated loader with its store's own schema
+//! check — `ckpt-*` files the checkpoint parse, `reuse-*.json` the
+//! reuse parse, `*.journal` files the journal decode (a torn tail is
+//! reclaimable, mid-file corruption is not), the shared cache's
+//! `generation` header the frame check alone, and everything else
+//! `.json` the cache schema — so `repair` can never disagree with the
+//! pipeline about what is loadable. A `compaction.lock` is reported
+//! but never touched — only a compactor may judge it stale. Corrupt
+//! files are moved aside under the same sidecar name, structured
+//! warning (path + digest) and `store_corrupt_total` accounting the
+//! runtime uses.
 //!
 //! Exits 0 when every surviving file is healthy or safely
 //! quarantined, [`exit_codes::FAILURES`] when a corrupt file could
@@ -49,7 +51,8 @@
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    is_corrupt_sidecar, quarantine_corrupt, read_record_file, truncate_torn_tail, StoreReadError,
+    is_corrupt_sidecar, is_tmp, load_quarantining, load_record_quarantining, truncate_torn_tail,
+    walk_files, RecordPayload, StoreReadError,
 };
 use geyser::{HardwareSpec, PipelineConfig, Telemetry};
 use geyser_bench::{
@@ -57,9 +60,7 @@ use geyser_bench::{
     CACHE_GENERATION_FILE,
 };
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, reuse_config_hash};
-use geyser_supervisor::{
-    load_checkpoint_quarantining, load_journal_events, CheckpointError, JournalError,
-};
+use geyser_supervisor::{decode_journal, parse_checkpoint};
 use serde::Serialize;
 
 /// What the scan decided about one file.
@@ -291,8 +292,24 @@ impl Scan {
     }
 }
 
+/// The status of a file the store protocol's validated loader refused:
+/// quarantined when the rename aside succeeded, still in place when it
+/// did not, unreadable when it could not be read at all.
+fn refused(e: StoreReadError) -> FileStatus {
+    match e {
+        StoreReadError::Io(_) => FileStatus::Unreadable,
+        StoreReadError::Corrupt(c) if c.quarantined.is_some() => FileStatus::Quarantined,
+        StoreReadError::Corrupt(_) => FileStatus::QuarantineFailed,
+    }
+}
+
+/// One record kind's schema check, judged against the repaired
+/// machine's reuse binding.
+type SchemaCheck = fn(RecordPayload, &ReuseBinding) -> Result<FileStatus, String>;
+
 /// Classifies one store file, quarantining corruption exactly like
-/// the pipeline's own loaders would.
+/// the pipeline's own loaders would: every kind goes through the store
+/// protocol's validated loader with that store's own schema check.
 fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan {
     let name = path
         .file_name()
@@ -301,42 +318,17 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan
     if is_corrupt_sidecar(path) {
         return Scan::plain(FileStatus::Sidecar);
     }
-    if name.ends_with(".tmp") {
+    if is_tmp(path) {
         return Scan::plain(FileStatus::StaleTmp);
     }
     if name == CACHE_COMPACTION_LOCK {
         return Scan::plain(FileStatus::Lock);
     }
-    if name == CACHE_GENERATION_FILE {
-        // The shared cache's generation header: one framed record. A
-        // corrupt header is quarantined; the next cache open heals it
-        // from the surviving entries.
-        return match read_record_file(path) {
-            Ok(_) => Scan::plain(FileStatus::GenerationHeader),
-            Err(StoreReadError::Corrupt(_)) => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(
-                    path,
-                    &bytes,
-                    "generation header corrupt",
-                    "cache",
-                    telemetry,
-                );
-                Scan::plain(if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                })
-            }
-            Err(StoreReadError::Io(_)) => Scan::plain(FileStatus::Unreadable),
-        };
-    }
     if name.ends_with(".journal") {
-        // Write-ahead job journal: scan through the same loader
-        // recovery uses. A torn tail is a reclaimable kill artifact;
-        // mid-file corruption means the journal cannot be trusted and
-        // is quarantined whole.
-        return match load_journal_events(path) {
+        // Write-ahead job journal: a torn tail is a reclaimable kill
+        // artifact; mid-file corruption means the journal cannot be
+        // trusted and is quarantined whole.
+        return match load_quarantining(path, "journal", telemetry, decode_journal) {
             Ok((events, torn_bytes)) => Scan {
                 status: if torn_bytes > 0 {
                     FileStatus::JournalTorn
@@ -346,123 +338,46 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan
                 torn_bytes: Some(torn_bytes),
                 journal_events: Some(events.len() as u64),
             },
-            Err(JournalError::Corrupt { .. }) => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(
-                    path,
-                    &bytes,
-                    "journal corrupt mid-file",
-                    "journal",
-                    telemetry,
-                );
-                Scan::plain(if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                })
-            }
-            Err(JournalError::Io(_)) => Scan::plain(FileStatus::Unreadable),
+            Err(e) => Scan::plain(refused(e)),
         };
     }
-    if !name.ends_with(".json") {
+    if name != CACHE_GENERATION_FILE && !name.ends_with(".json") {
         return Scan::plain(FileStatus::Unknown);
     }
-    if is_reuse_entry(path) {
-        // Cross-job reuse entry: frame first, then the reuse schema
-        // (the same parse `load_reuse_dir` runs), then the staleness
+    let (label, check): (&str, SchemaCheck) = if name == CACHE_GENERATION_FILE {
+        // The shared cache's generation header: frame check only; the
+        // next cache open heals a quarantined header from the
+        // surviving entries.
+        ("cache", |_, _| Ok(FileStatus::GenerationHeader))
+    } else if is_reuse_entry(path) {
+        // Cross-job reuse entry: the reuse schema, then the staleness
         // check against the repaired machine's binding.
-        return Scan::plain(match read_record_file(path) {
-            Ok(payload) => match parse_reuse_record(payload.text()) {
-                Ok(record) if binding.is_current(record.hardware_digest, record.config_hash) => {
+        ("reuse", |payload, binding| {
+            let record = parse_reuse_record(payload.text())?;
+            Ok(
+                if binding.is_current(record.hardware_digest, record.config_hash) {
                     FileStatus::ReuseEntry
-                }
-                Ok(_) => FileStatus::ReuseStale,
-                Err(reason) => {
-                    let bytes = std::fs::read(path).unwrap_or_default();
-                    quarantine_corrupt(path, &bytes, &reason, "reuse", telemetry);
-                    if path.exists() {
-                        FileStatus::QuarantineFailed
-                    } else {
-                        FileStatus::Quarantined
-                    }
-                }
-            },
-            Err(StoreReadError::Corrupt(_)) => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(path, &bytes, "record frame corrupt", "reuse", telemetry);
-                if path.exists() {
-                    FileStatus::QuarantineFailed
                 } else {
-                    FileStatus::Quarantined
-                }
+                    FileStatus::ReuseStale
+                },
+            )
+        })
+    } else if name.starts_with("ckpt-") {
+        ("checkpoint", |payload, _| {
+            parse_checkpoint(payload).map(|_| FileStatus::Healthy)
+        })
+    } else {
+        // Results-cache entry.
+        ("cache", |payload, _| {
+            match classify_cache_payload(payload.text()) {
+                CachePayloadStatus::Current => Ok(FileStatus::Healthy),
+                CachePayloadStatus::StaleVersion => Ok(FileStatus::StaleVersion),
+                CachePayloadStatus::Malformed => Err("cache JSON does not parse".to_string()),
             }
-            Err(StoreReadError::Io(_)) => FileStatus::Unreadable,
-        });
-    }
-    if name.starts_with("ckpt-") {
-        // Composition checkpoint: the loader verifies the frame,
-        // parses the JSON, checks the schema version, and quarantines
-        // on any corruption.
-        return Scan::plain(match load_checkpoint_quarantining(path, telemetry) {
-            Ok(_) => FileStatus::Healthy,
-            Err(CheckpointError::Corrupt { .. }) => {
-                if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                }
-            }
-            Err(CheckpointError::Io(_)) => FileStatus::Unreadable,
-        });
-    }
-    // Results-cache entry: frame first, then the cache schema.
-    Scan::plain(match read_record_file(path) {
-        Ok(payload) => match classify_cache_payload(payload.text()) {
-            CachePayloadStatus::Current => FileStatus::Healthy,
-            CachePayloadStatus::StaleVersion => FileStatus::StaleVersion,
-            CachePayloadStatus::Malformed => {
-                let bytes = std::fs::read(path).unwrap_or_default();
-                quarantine_corrupt(
-                    path,
-                    &bytes,
-                    "cache JSON does not parse",
-                    "cache",
-                    telemetry,
-                );
-                if path.exists() {
-                    FileStatus::QuarantineFailed
-                } else {
-                    FileStatus::Quarantined
-                }
-            }
-        },
-        Err(StoreReadError::Corrupt(_)) => {
-            let bytes = std::fs::read(path).unwrap_or_default();
-            quarantine_corrupt(path, &bytes, "record frame corrupt", "cache", telemetry);
-            if path.exists() {
-                FileStatus::QuarantineFailed
-            } else {
-                FileStatus::Quarantined
-            }
-        }
-        Err(StoreReadError::Io(_)) => FileStatus::Unreadable,
-    })
-}
-
-/// Collects every file under `dir`, recursing into subdirectories
-/// (the shared cache's `objects/` shards). Deterministic: the final
-/// list is sorted by path.
-fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                collect_files(&path, out);
-            } else if path.is_file() {
-                out.push(path);
-            }
-        }
-    }
+        })
+    };
+    let loaded = load_record_quarantining(path, label, telemetry, |p| check(p, binding));
+    Scan::plain(loaded.unwrap_or_else(refused))
 }
 
 fn main() {
@@ -487,9 +402,7 @@ fn main() {
         );
         std::process::exit(exit_codes::USAGE);
     }
-    let mut paths: Vec<PathBuf> = Vec::new();
-    collect_files(&args.store, &mut paths);
-    paths.sort();
+    let paths = walk_files(&args.store).unwrap_or_default();
 
     let mut files = Vec::new();
     let mut journal_bytes_reclaimed = 0u64;

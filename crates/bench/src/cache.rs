@@ -11,13 +11,14 @@
 //! and `bench` runs pointed at the same directory):
 //!
 //! * Entries are **content-addressed**: each lives in its own file at
-//!   `objects/<hh>/<digest:016x>.json`, written via a pid-unique temp
-//!   file and an atomic rename. Two processes racing to publish the
-//!   same key both rename byte-identical content — last rename wins,
-//!   no torn state.
+//!   `objects/<hh>/<digest:016x>.json`, written through the store
+//!   protocol's staged write (a temp file unique per write, then an
+//!   atomic rename; see [`geyser::store::stage_write`]). Two processes
+//!   racing to publish the same key both rename byte-identical content
+//!   — last rename wins, no torn state.
 //! * A framed **generation header** at the store root records how many
 //!   compactions have committed. Compaction bumps it with the same
-//!   temp+rename protocol, so a crash mid-compaction leaves either the
+//!   stage+commit protocol, so a crash mid-compaction leaves either the
 //!   old or the new generation on disk, never a mix.
 //! * Compaction itself is serialized by an advisory **lock file**
 //!   created with `O_EXCL` semantics; a holder that died is detected
@@ -26,8 +27,8 @@
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    clean_stale_tmp, encode_record, is_corrupt_sidecar, quarantine_corrupt, read_record_file,
-    read_record_file_quarantining, StoreReadError,
+    clean_stale_tmp, encode_record, is_corrupt_sidecar, load_record_quarantining, read_record_file,
+    remove_stale_tmp, stage_write, walk_files, write_record_atomic, RecordPayload, StoreReadError,
 };
 use geyser::{
     compile, CompileReport, CompiledCircuit, PipelineConfig, Technique, Telemetry,
@@ -165,19 +166,16 @@ fn key_digest(name: &str, technique: Technique, cfg_tag: &str, fp: u64) -> u64 {
     geyser::store::fnv1a_bytes(key.as_bytes())
 }
 
-/// Crash-safe entry publish: framed body, **pid-unique** temp sibling,
-/// atomic rename. The pid suffix is what makes concurrent processes
-/// safe — a shared temp name would let one writer rename the other's
-/// half-written bytes into place.
-fn write_entry_atomic(path: &Path, body: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let tmp = path.with_extension(format!("json.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, encode_record(body))?;
-    std::fs::rename(&tmp, path)
+/// Every file under the object tree, sorted; an unreadable tree reads
+/// as empty.
+fn object_files(objects: &Path) -> Vec<PathBuf> {
+    walk_files(objects).unwrap_or_default()
+}
+
+/// Whether a path names a cache entry (quarantine sidecars and temp
+/// files carry other extensions).
+fn is_entry_file(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "json")
 }
 
 /// Outcome of one [`SharedCache::compact`] attempt.
@@ -215,32 +213,17 @@ impl SharedCache {
         let objects = root.join(CACHE_OBJECTS_DIR);
         std::fs::create_dir_all(&objects)?;
         clean_stale_tmp(root, telemetry);
-        if let Ok(shards) = std::fs::read_dir(&objects) {
-            for shard in shards.flatten() {
-                if shard.path().is_dir() {
-                    clean_stale_tmp(&shard.path(), telemetry);
-                }
-            }
-        }
+        remove_stale_tmp(&object_files(&objects), telemetry);
         let gen_path = root.join(CACHE_GENERATION_FILE);
-        let loaded = match read_record_file(&gen_path) {
-            Ok(payload) => serde_json::from_str::<GenerationHeader>(payload.text())
+        // A frame-corrupt header is quarantined; one that merely fails
+        // the schema is re-seeded in place.
+        let loaded = load_record_quarantining(&gen_path, "cache", telemetry, |payload| {
+            Ok(serde_json::from_str::<GenerationHeader>(payload.text())
                 .ok()
                 .filter(|h| h.generation > 0)
-                .map(|h| h.generation),
-            Err(StoreReadError::Io(_)) => None,
-            Err(StoreReadError::Corrupt(_)) => {
-                let bytes = std::fs::read(&gen_path).unwrap_or_default();
-                quarantine_corrupt(
-                    &gen_path,
-                    &bytes,
-                    "cache generation header corrupt",
-                    "cache",
-                    telemetry,
-                );
-                None
-            }
-        };
+                .map(|h| h.generation))
+        })
+        .unwrap_or(None);
         let generation = match loaded {
             Some(g) => g,
             None => {
@@ -250,7 +233,7 @@ impl SharedCache {
                     generation: floor,
                 };
                 if let Ok(body) = serde_json::to_string(&header) {
-                    let _ = write_entry_atomic(&gen_path, &body);
+                    let _ = write_record_atomic(&gen_path, &body);
                 }
                 floor
             }
@@ -330,85 +313,46 @@ impl SharedCache {
                 generation: self.generation,
             });
         }
-        let mut pruned = 0u64;
-        let objects = self.root.join(CACHE_OBJECTS_DIR);
-        if let Ok(shards) = std::fs::read_dir(&objects) {
-            for shard in shards.flatten() {
-                let dir = shard.path();
-                if !dir.is_dir() {
-                    continue;
+        let files = object_files(&self.root.join(CACHE_OBJECTS_DIR));
+        let mut pruned = remove_stale_tmp(&files, telemetry) as u64;
+        for path in &files {
+            if is_corrupt_sidecar(path) {
+                if std::fs::remove_file(path).is_ok() {
+                    pruned += 1;
                 }
-                pruned += clean_stale_tmp(&dir, telemetry) as u64;
-                let files = match std::fs::read_dir(&dir) {
-                    Ok(files) => files,
-                    Err(_) => continue,
-                };
-                for file in files.flatten() {
-                    let path = file.path();
-                    if is_corrupt_sidecar(&path) {
-                        if std::fs::remove_file(&path).is_ok() {
-                            pruned += 1;
+                continue;
+            }
+            if !is_entry_file(path) {
+                continue;
+            }
+            // Unlike the hit path, compaction refuses legacy payloads:
+            // every entry in the object store was written framed.
+            let status =
+                load_record_quarantining(path, "cache", telemetry, |payload| match payload {
+                    RecordPayload::Legacy(_) => Err("unframed file in cache object store".into()),
+                    RecordPayload::Framed(text) => match classify_cache_payload(&text) {
+                        CachePayloadStatus::Malformed => {
+                            Err("cache entry JSON does not parse".into())
                         }
-                        continue;
-                    }
-                    if path.extension().map(|e| e != "json").unwrap_or(true) {
-                        continue;
-                    }
-                    match read_record_file(&path) {
-                        Ok(payload) if payload.is_framed() => {
-                            match classify_cache_payload(payload.text()) {
-                                CachePayloadStatus::Current => {}
-                                CachePayloadStatus::StaleVersion => {
-                                    if std::fs::remove_file(&path).is_ok() {
-                                        pruned += 1;
-                                    }
-                                }
-                                CachePayloadStatus::Malformed => {
-                                    let bytes = std::fs::read(&path).unwrap_or_default();
-                                    quarantine_corrupt(
-                                        &path,
-                                        &bytes,
-                                        "cache entry JSON does not parse",
-                                        "cache",
-                                        telemetry,
-                                    );
-                                }
-                            }
-                        }
-                        Ok(_) => {
-                            let bytes = std::fs::read(&path).unwrap_or_default();
-                            quarantine_corrupt(
-                                &path,
-                                &bytes,
-                                "unframed file in cache object store",
-                                "cache",
-                                telemetry,
-                            );
-                        }
-                        Err(StoreReadError::Corrupt(_)) => {
-                            let bytes = std::fs::read(&path).unwrap_or_default();
-                            quarantine_corrupt(
-                                &path,
-                                &bytes,
-                                "cache entry frame corrupt",
-                                "cache",
-                                telemetry,
-                            );
-                        }
-                        Err(StoreReadError::Io(_)) => {}
-                    }
-                }
+                        status => Ok(status),
+                    },
+                });
+            if matches!(status, Ok(CachePayloadStatus::StaleVersion))
+                && std::fs::remove_file(path).is_ok()
+            {
+                pruned += 1;
             }
         }
-        let gen_path = self.root.join(CACHE_GENERATION_FILE);
         let header = GenerationHeader {
             version: GENERATION_VERSION,
             generation: self.generation + 1,
         };
         let body = serde_json::to_string(&header)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        let tmp = gen_path.with_extension(format!("{}.tmp", std::process::id()));
-        std::fs::write(&tmp, encode_record(&body))?;
+        let staged = stage_write(
+            &self.root.join(CACHE_GENERATION_FILE),
+            encode_record(&body).as_bytes(),
+        )?;
         if crash_before_commit {
             return Ok(CompactionOutcome {
                 performed: false,
@@ -416,7 +360,7 @@ impl SharedCache {
                 generation: self.generation,
             });
         }
-        std::fs::rename(&tmp, &gen_path)?;
+        staged.commit()?;
         self.generation += 1;
         let _ = std::fs::remove_file(self.root.join(CACHE_COMPACTION_LOCK));
         Ok(CompactionOutcome {
@@ -470,29 +414,14 @@ impl SharedCache {
 /// Highest generation any parseable entry under `objects` claims —
 /// the floor a healed generation header must respect.
 fn max_entry_generation(objects: &Path) -> u64 {
-    let mut max = 0u64;
-    if let Ok(shards) = std::fs::read_dir(objects) {
-        for shard in shards.flatten() {
-            let dir = shard.path();
-            if !dir.is_dir() {
-                continue;
-            }
-            if let Ok(files) = std::fs::read_dir(&dir) {
-                for file in files.flatten() {
-                    let path = file.path();
-                    if path.extension().map(|e| e != "json").unwrap_or(true) {
-                        continue;
-                    }
-                    if let Ok(payload) = read_record_file(&path) {
-                        if let Ok(entry) = serde_json::from_str::<CachedCompile>(payload.text()) {
-                            max = max.max(entry.generation);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    max
+    object_files(objects)
+        .iter()
+        .filter(|path| is_entry_file(path))
+        .filter_map(|path| read_record_file(path).ok())
+        .filter_map(|payload| serde_json::from_str::<CachedCompile>(payload.text()).ok())
+        .map(|entry| entry.generation)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Audits a shared cache root **in place** (no healing, no
@@ -510,36 +439,22 @@ pub fn scan_generation(root: &Path, now_ms: u64) -> CacheGenerationObservation {
     };
     let mut corrupt_in_place = 0u64;
     let mut entries_beyond_generation = 0u64;
-    let objects = root.join(CACHE_OBJECTS_DIR);
-    if let Ok(shards) = std::fs::read_dir(&objects) {
-        for shard in shards.flatten() {
-            let dir = shard.path();
-            if !dir.is_dir() {
-                continue;
-            }
-            if let Ok(files) = std::fs::read_dir(&dir) {
-                for file in files.flatten() {
-                    let path = file.path();
-                    if is_corrupt_sidecar(&path)
-                        || path.extension().map(|e| e != "json").unwrap_or(true)
-                    {
-                        continue;
+    for path in object_files(&root.join(CACHE_OBJECTS_DIR)) {
+        if !is_entry_file(&path) {
+            continue;
+        }
+        match read_record_file(&path) {
+            Ok(payload) if payload.is_framed() => {
+                match serde_json::from_str::<CachedCompile>(payload.text()) {
+                    Ok(entry) if entry.generation > generation => {
+                        entries_beyond_generation += 1;
                     }
-                    match read_record_file(&path) {
-                        Ok(payload) if payload.is_framed() => {
-                            match serde_json::from_str::<CachedCompile>(payload.text()) {
-                                Ok(entry) if entry.generation > generation => {
-                                    entries_beyond_generation += 1;
-                                }
-                                Ok(_) => {}
-                                Err(_) => corrupt_in_place += 1,
-                            }
-                        }
-                        Ok(_) | Err(StoreReadError::Corrupt(_)) => corrupt_in_place += 1,
-                        Err(StoreReadError::Io(_)) => {}
-                    }
+                    Ok(_) => {}
+                    Err(_) => corrupt_in_place += 1,
                 }
             }
+            Ok(_) | Err(StoreReadError::Corrupt(_)) => corrupt_in_place += 1,
+            Err(StoreReadError::Io(_)) => {}
         }
     }
     let lock_path = root.join(CACHE_COMPACTION_LOCK);
@@ -762,53 +677,41 @@ pub fn compile_cached_verified_traced(
         }
     };
     let path = cache.entry_path_for(name, technique, cfg_tag, fp);
-    // Frame corruption (torn write, bit rot) is quarantined to a
-    // `.corrupt-<digest>` sidecar with a structured warning and a
-    // `store_corrupt_total` bump inside the record reader; a framed
-    // payload that then fails the schema is quarantined here. Both
-    // degrade to a miss, but never silently.
-    match read_record_file_quarantining(&path, "cache", telemetry) {
-        Ok(payload) => match serde_json::from_str::<CachedCompile>(payload.text()) {
-            Ok(cached) => {
-                let stored = cached.verification.clone();
-                if let Some(compiled) = from_cached(cached, technique, cfg.hardware.digest()) {
-                    telemetry.counter_add("bench.cache_hits", 1);
-                    let stats = match (verify, stored) {
-                        (None, stored) => stored,
-                        (Some(_), Some(stats)) => Some(stats),
-                        (Some(vc), None) => {
-                            let stats = geyser::verify_compiled(program, &compiled, vc);
-                            store(
-                                &path,
-                                &compiled,
-                                Some(stats.clone()),
-                                cfg,
-                                cache.generation(),
-                            );
-                            Some(stats)
-                        }
-                    };
-                    return (compiled, stats);
+    // Frame corruption (torn write, bit rot) and a framed payload that
+    // fails the schema are both quarantined to a `.corrupt-<digest>`
+    // sidecar with a structured warning and a `store_corrupt_total`
+    // bump. Both degrade to a miss, but never silently.
+    let loaded = load_record_quarantining(&path, "cache", telemetry, |payload| {
+        serde_json::from_str::<CachedCompile>(payload.text())
+            .map_err(|_| "cache entry JSON does not parse".to_string())
+    });
+    if let Ok(cached) = loaded {
+        let stored = cached.verification.clone();
+        if let Some(compiled) = from_cached(cached, technique, cfg.hardware.digest()) {
+            telemetry.counter_add("bench.cache_hits", 1);
+            let stats = match (verify, stored) {
+                (None, stored) => stored,
+                (Some(_), Some(stats)) => Some(stats),
+                (Some(vc), None) => {
+                    let stats = geyser::verify_compiled(program, &compiled, vc);
+                    store(
+                        &path,
+                        &compiled,
+                        Some(stats.clone()),
+                        cfg,
+                        cache.generation(),
+                    );
+                    Some(stats)
                 }
-                // Parsed, but unusable in this process: schema version
-                // or hardware-digest skew. Counted apart from cold
-                // misses so operators can tell "cache was empty" from
-                // "cache was full of entries a version bump orphaned"
-                // — the latter is reclaimable with `repair --prune`.
-                telemetry.counter_add(CACHE_VERSION_MISS_COUNTER, 1);
-            }
-            Err(_) => {
-                let bytes = std::fs::read(&path).unwrap_or_default();
-                quarantine_corrupt(
-                    &path,
-                    &bytes,
-                    "cache entry JSON does not parse",
-                    "cache",
-                    telemetry,
-                );
-            }
-        },
-        Err(StoreReadError::Io(_)) | Err(StoreReadError::Corrupt(_)) => {}
+            };
+            return (compiled, stats);
+        }
+        // Parsed, but unusable in this process: schema version or
+        // hardware-digest skew. Counted apart from cold misses so
+        // operators can tell "cache was empty" from "cache was full of
+        // entries a version bump orphaned" — the latter is
+        // reclaimable with `repair --prune`.
+        telemetry.counter_add(CACHE_VERSION_MISS_COUNTER, 1);
     }
     telemetry.counter_add("bench.cache_misses", 1);
     let compiled = compile(program, technique, cfg);
@@ -825,7 +728,7 @@ fn store(
     generation: u64,
 ) {
     if let Ok(body) = serde_json::to_string(&to_cached(compiled, verification, cfg, generation)) {
-        let _ = write_entry_atomic(path, &body);
+        let _ = write_record_atomic(path, &body);
     }
 }
 
@@ -850,21 +753,11 @@ mod tests {
     }
 
     fn sidecars_under(root: &Path) -> usize {
-        fn walk(dir: &Path, count: &mut usize) {
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    let path = entry.path();
-                    if path.is_dir() {
-                        walk(&path, count);
-                    } else if is_corrupt_sidecar(&path) {
-                        *count += 1;
-                    }
-                }
-            }
-        }
-        let mut count = 0;
-        walk(root, &mut count);
-        count
+        walk_files(root)
+            .unwrap()
+            .iter()
+            .filter(|p| is_corrupt_sidecar(p))
+            .count()
     }
 
     #[test]
@@ -967,7 +860,7 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("entry.json");
         std::fs::write(&path, "old").unwrap();
-        write_entry_atomic(&path, "new").unwrap();
+        write_record_atomic(&path, "new").unwrap();
         let decoded = geyser::store::read_record_file(&path).unwrap();
         assert!(decoded.is_framed(), "cache entries are framed records");
         assert_eq!(decoded.text(), "new");
@@ -1068,12 +961,12 @@ mod tests {
         let direct = compile(&program, Technique::Baseline, &cfg);
         let keep = cache.entry_path_for("t", Technique::Baseline, "keep", 1);
         let body = serde_json::to_string(&to_cached(&direct, None, &cfg, 1)).unwrap();
-        write_entry_atomic(&keep, &body).unwrap();
+        write_record_atomic(&keep, &body).unwrap();
         // A stale-version entry and a quarantine sidecar beside it.
         let mut stale = to_cached(&direct, None, &cfg, 1);
         stale.version = CACHE_VERSION - 1;
         let stale_path = cache.entry_path_for("t", Technique::Baseline, "stale", 2);
-        write_entry_atomic(&stale_path, &serde_json::to_string(&stale).unwrap()).unwrap();
+        write_record_atomic(&stale_path, &serde_json::to_string(&stale).unwrap()).unwrap();
         let sidecar = keep.parent().unwrap().join("junk.json.corrupt-00ff");
         std::fs::write(&sidecar, "quarantined bytes").unwrap();
 
@@ -1098,7 +991,7 @@ mod tests {
         // Coherent store first.
         let good = cache.entry_path_for("t", Technique::Baseline, "good", 1);
         let body = serde_json::to_string(&to_cached(&direct, None, &cfg, 1)).unwrap();
-        write_entry_atomic(&good, &body).unwrap();
+        write_record_atomic(&good, &body).unwrap();
         let obs = scan_generation(&root, 1_000);
         assert!(obs.generation_parses);
         assert_eq!(obs.generation, 1);
@@ -1110,10 +1003,10 @@ mod tests {
         // committed — the signature of a lost rename.
         let future = cache.entry_path_for("t", Technique::Baseline, "future", 2);
         let beyond = serde_json::to_string(&to_cached(&direct, None, &cfg, 99)).unwrap();
-        write_entry_atomic(&future, &beyond).unwrap();
+        write_record_atomic(&future, &beyond).unwrap();
         // A torn entry left in place (scanners never quarantine).
         let torn = cache.entry_path_for("t", Technique::Baseline, "torn", 3);
-        write_entry_atomic(&torn, &body).unwrap();
+        write_record_atomic(&torn, &body).unwrap();
         let bytes = std::fs::read(&torn).unwrap();
         std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
         // An orphaned lock from a long-dead compactor.
@@ -1312,7 +1205,7 @@ mod tests {
         let payload = geyser::store::read_record_file(&path).unwrap();
         let mut entry: CachedCompile = serde_json::from_str(payload.text()).unwrap();
         entry.version = CACHE_VERSION - 1;
-        write_entry_atomic(&path, &serde_json::to_string(&entry).unwrap()).unwrap();
+        write_record_atomic(&path, &serde_json::to_string(&entry).unwrap()).unwrap();
 
         let (second, _) = compile_cached_verified_traced(
             "t",

@@ -51,7 +51,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use geyser::{CancelToken, CompiledCircuit, PassManager, PipelineConfig, Technique};
+use geyser::{splitmix64, CancelToken, CompiledCircuit, PassManager, PipelineConfig, Technique};
 use geyser_circuit::Circuit;
 use geyser_supervisor::{
     checkpoint_fingerprint, degrade_config, Admission, Dispatch, FlightTicket, JobSpec, Journal,
@@ -76,15 +76,6 @@ const SEED_VARIANTS: u64 = 2;
 
 /// Dedup-served flights sampled for the bit-identity check.
 const DEDUP_SAMPLES: usize = 4;
-
-/// One splitmix64 draw — the repo's standard dependency-free
-/// generator.
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 struct Rng(u64);
 

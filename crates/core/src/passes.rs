@@ -7,7 +7,9 @@
 //! themselves live in those crates.
 
 use geyser_blocking::try_block_circuit_traced;
-use geyser_compose::{try_compose_blocked_circuit_reusing, try_compose_blocked_circuit_supervised};
+use geyser_compose::{
+    try_compose_blocked_circuit_reusing, BlockObserver, CompositionConfig, CompositionResult,
+};
 use geyser_map::{optimize_to_fixpoint, try_map_circuit_traced, MappingOptions};
 use geyser_optimize::Deadline;
 use geyser_reuse::{load_reuse_dir, reuse_config_hash, save_reuse_dir, ReuseSession};
@@ -152,31 +154,45 @@ impl Pass for BlockPass {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ComposePass;
 
-impl Pass for ComposePass {
-    fn name(&self) -> &'static str {
-        "compose"
+impl ComposePass {
+    /// The composition config a run searches under: the pipeline's,
+    /// with the pipeline budget threaded into the per-block search. A
+    /// forced-timeout fault overrides it so every block must prove it
+    /// degrades to `budget-exhausted` fallback.
+    pub fn config(ctx: &CompileContext<'_>) -> CompositionConfig {
+        let cfg = ctx.config().composition;
+        if ctx.faults().force_compose_timeout {
+            cfg.with_deadline(Deadline::already_expired())
+        } else if ctx.deadline().is_bounded() {
+            cfg.with_deadline(ctx.deadline())
+        } else {
+            cfg
+        }
     }
 
-    fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
+    /// The composition stage body every compose pass runs: composes
+    /// the blocked circuit under `cfg` (through a reuse session when
+    /// the pipeline enables one), installs the result, and surfaces a
+    /// mid-composition cancellation as a typed error. `prior` holds
+    /// block results restored from a checkpoint and `observer` sees
+    /// every freshly composed block; the stock pass passes neither.
+    pub fn compose(
+        ctx: &mut CompileContext<'_>,
+        cfg: &CompositionConfig,
+        prior: &[Option<CompositionResult>],
+        observer: Option<&dyn BlockObserver>,
+    ) -> Result<(), CompileError> {
         let blocked = ctx.blocked().ok_or(CompileError::MissingStage {
             pass: "compose",
             requires: "block",
         })?;
-        // Thread the pipeline budget into the per-block search; a
-        // forced-timeout fault overrides it so every block must prove
-        // it degrades to `budget-exhausted` fallback.
-        let mut cfg = ctx.config().composition;
-        if ctx.faults().force_compose_timeout {
-            cfg = cfg.with_deadline(Deadline::already_expired());
-        } else if ctx.deadline().is_bounded() {
-            cfg = cfg.with_deadline(ctx.deadline());
-        }
         let reuse = ctx.config().reuse.clone();
-        let mut composed = if reuse.enabled {
-            // Build the reuse session keyed to this exact scenario:
-            // entries only replay under the same hardware digest and
-            // the same acceptance-relevant composition knobs.
-            let mut session = ReuseSession::new(
+        // The reuse session is keyed to this exact scenario: entries
+        // only replay under the same hardware digest and the same
+        // acceptance-relevant composition knobs. Restored blocks are
+        // never fingerprinted (they did no work to cache).
+        let mut session = reuse.enabled.then(|| {
+            ReuseSession::new(
                 ctx.config().hardware.digest(),
                 reuse_config_hash(
                     cfg.epsilon,
@@ -187,9 +203,11 @@ impl Pass for ComposePass {
                 ),
             )
             .with_warm_start(reuse.warm_start)
-            .with_skip_verify_fault(ctx.faults().reuse_skip_verify);
+            .with_skip_verify_fault(ctx.faults().reuse_skip_verify)
+        });
+        if let Some(session) = &mut session {
             if let Some(dir) = &reuse.store {
-                load_reuse_dir(dir, &mut session, ctx.telemetry()).map_err(|e| {
+                load_reuse_dir(dir, session, ctx.telemetry()).map_err(|e| {
                     CompileError::ReuseStore {
                         detail: format!("loading {}: {e}", dir.display()),
                     }
@@ -198,40 +216,28 @@ impl Pass for ComposePass {
             if ctx.faults().reuse_poison {
                 session.poison_entries();
             }
-            let composed = try_compose_blocked_circuit_reusing(
-                blocked,
-                &cfg,
-                &ctx.faults().compose,
-                ctx.cancel(),
-                &[],
-                None,
-                ctx.telemetry(),
-                Some(&mut session),
-            )?;
+        }
+        let mut composed = try_compose_blocked_circuit_reusing(
+            blocked,
+            cfg,
+            &ctx.faults().compose,
+            ctx.cancel(),
+            prior,
+            observer,
+            ctx.telemetry(),
+            session.as_mut(),
+        )?;
+        if let Some(mut session) = session {
             if let Some(dir) = &reuse.store {
                 save_reuse_dir(dir, &mut session).map_err(|e| CompileError::ReuseStore {
                     detail: format!("saving {}: {e}", dir.display()),
                 })?;
             }
-            (composed, Some(session.stats))
-        } else {
-            let composed = try_compose_blocked_circuit_supervised(
-                blocked,
-                &cfg,
-                &ctx.faults().compose,
-                ctx.cancel(),
-                &[],
-                None,
-                ctx.telemetry(),
-            )?;
-            (composed, None)
-        };
-        // Fold the final session stats (including store save counts)
-        // back into the stats the report reads.
-        if let Some(stats) = composed.1 {
-            composed.0.stats.reuse = Some(stats);
+            // Fold the final session stats (including store save
+            // counts) back into the stats the report reads.
+            composed.stats.reuse = Some(session.stats);
         }
-        ctx.set_composed(composed.0.circuit, composed.0.stats);
+        ctx.set_composed(composed.circuit, composed.stats);
         // A token that fired mid-composition left the remaining blocks
         // uncomposed; surface the typed terminal state instead of
         // finalizing a silently degraded circuit.
@@ -241,6 +247,17 @@ impl Pass for ComposePass {
             });
         }
         Ok(())
+    }
+}
+
+impl Pass for ComposePass {
+    fn name(&self) -> &'static str {
+        "compose"
+    }
+
+    fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
+        let cfg = ComposePass::config(ctx);
+        ComposePass::compose(ctx, &cfg, &[], None)
     }
 }
 

@@ -156,7 +156,7 @@ impl HardwareSpec {
             self.noise.granularity,
             self.atom_loss,
         );
-        fnv1a(&canonical)
+        geyser_store::fnv1a_bytes(canonical.as_bytes())
     }
 
     /// `true` when this spec digests identically to
@@ -286,18 +286,6 @@ impl fmt::Display for HardwareSpecError {
 }
 
 impl std::error::Error for HardwareSpecError {}
-
-/// FNV-1a over a canonical text rendering — the workspace's standard
-/// content-fingerprint construction (checkpoints and cache keys use
-/// the same recipe).
-fn fnv1a(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 #[cfg(test)]
 mod tests {

@@ -2,12 +2,13 @@
 //!
 //! One `reuse-<keydigest:016x>.json` file per entry, living alongside
 //! the shared compile cache (by default under `.geyser-cache/reuse`).
-//! Every file is a `GEYSREC1`-framed JSON [`ReuseRecord`]: atomic
-//! tmp+rename writes, torn-write/bit-rot detection, corrupt files
-//! quarantined to `.corrupt-<digest>` sidecars under the `reuse`
-//! corruption label. Digest-keyed file names make concurrent writers
-//! idempotent — two processes publishing the same fingerprint race to
-//! write equivalent records.
+//! Every file is a `GEYSREC1`-framed JSON [`ReuseRecord`] written and
+//! read through the `geyser-store` protocol: staged tmp+rename writes
+//! with a temp name unique per write, torn-write/bit-rot detection,
+//! corrupt files quarantined to `.corrupt-<digest>` sidecars under the
+//! `reuse` corruption label. Digest-keyed file names make concurrent
+//! writers idempotent — two jobs or processes publishing the same
+//! fingerprint race to rename equivalent records into place.
 //!
 //! Entries embed their hardware digest and composition-config hash;
 //! the loader *skips* (never deletes) entries bound to another
@@ -21,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fingerprint::BlockFingerprint;
 use crate::index::{ReuseEntry, ReuseKey, ReuseOutcome, ReuseSession};
-use geyser_store::{read_record_file_quarantining, write_record_atomic, StoreReadError};
+use geyser_store::{load_record_quarantining, walk_files, write_record_atomic, StoreReadError};
 use geyser_telemetry::Telemetry;
 
 /// Version stamp of the on-disk reuse record schema.
@@ -196,49 +197,28 @@ pub struct LoadedReuse {
 /// Loads every matching entry from `dir` into `session`.
 ///
 /// A missing directory is an empty store. Files are visited in
-/// sorted order so load accounting is deterministic; frame-corrupt
-/// and schema-corrupt files are quarantined in place (label `reuse`)
-/// and the scan continues — a rotten entry costs one recomposition,
-/// never the run.
+/// sorted order (the store's one recursive walk) so load accounting
+/// is deterministic; frame-corrupt and schema-corrupt files are
+/// quarantined in place (label `reuse`) and the scan continues — a
+/// rotten entry costs one recomposition, never the run.
 pub fn load_reuse_dir(
     dir: &Path,
     session: &mut ReuseSession,
     telemetry: &Telemetry,
 ) -> std::io::Result<LoadedReuse> {
     let mut observed = LoadedReuse::default();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(observed),
-        Err(e) => return Err(e),
-    };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| is_reuse_entry(p))
-        .collect();
-    paths.sort();
-    for path in paths {
-        let payload = match read_record_file_quarantining(&path, "reuse", telemetry) {
-            Ok(p) => p,
+    for path in walk_files(dir)?.iter().filter(|p| is_reuse_entry(p)) {
+        let loaded = load_record_quarantining(path, "reuse", telemetry, |payload| {
+            parse_reuse_record(payload.text())
+        });
+        let record = match loaded {
+            Ok(r) => r,
             Err(StoreReadError::Corrupt(_)) => {
                 observed.quarantined += 1;
                 continue;
             }
             // Racing loader/pruner; skip, never fail the run.
             Err(StoreReadError::Io(_)) => continue,
-        };
-        let record = match parse_reuse_record(payload.text()) {
-            Ok(r) => r,
-            Err(reason) => {
-                geyser_store::quarantine_corrupt(
-                    &path,
-                    payload.text().as_bytes(),
-                    &reason,
-                    "reuse",
-                    telemetry,
-                );
-                observed.quarantined += 1;
-                continue;
-            }
         };
         let key = record.key().expect("validated by parse_reuse_record");
         let entry = record.entry().expect("validated by parse_reuse_record");
@@ -388,6 +368,60 @@ mod tests {
         assert_eq!(obs.loaded, 0);
         assert_eq!(obs.quarantined, 1);
         assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn schema_garbage_is_quarantined_under_the_file_digest() {
+        // Every store names a sidecar after the digest of the corrupt
+        // file's bytes, so one rotten file gets one sidecar name no
+        // matter which loader (or `repair`) finds it.
+        let dir = tmpdir("schema-digest");
+        let path = reuse_entry_path(&dir, 0xbeef);
+        write_record_atomic(&path, "{\"version\": 999}").unwrap();
+        let file_bytes = std::fs::read(&path).unwrap();
+        let mut reader = ReuseSession::new(11, 22);
+        let obs = load_reuse_dir(&dir, &mut reader, &Telemetry::disabled()).unwrap();
+        assert_eq!(obs.quarantined, 1);
+        let sidecar =
+            geyser_store::corrupt_sidecar_path(&path, geyser_store::fnv1a_bytes(&file_bytes));
+        assert!(sidecar.exists(), "expected sidecar {}", sidecar.display());
+        assert_eq!(std::fs::read(&sidecar).unwrap(), file_bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_all_succeed() {
+        // Two jobs (or processes) publishing the same fingerprint into
+        // one store race on one entry path; every write must land.
+        const THREADS: usize = 4;
+        const SAVES: usize = 500;
+        let dir = tmpdir("concurrent");
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for i in 0..SAVES {
+                        let mut session = sample_session();
+                        if let Err(e) = save_reuse_dir(&dir, &mut session) {
+                            panic!("save {i} failed: {e}");
+                        }
+                    }
+                });
+            }
+        });
+        let names: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert!(
+            names.iter().all(|p| is_reuse_entry(p)),
+            "no *.tmp (or other) file may be left behind: {names:?}"
+        );
+        assert_eq!(names.len(), 2);
+        let mut reader = ReuseSession::new(11, 22);
+        let obs = load_reuse_dir(&dir, &mut reader, &Telemetry::disabled()).unwrap();
+        assert_eq!((obs.loaded, obs.quarantined), (2, 0));
+        assert_eq!(reader.lookup(fp(1)).unwrap().params, vec![0.5, -1.25, 3.0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,21 @@
-//! Crash-tolerant on-disk record framing shared by every persistent
-//! store (the bench compile cache, the supervisor's composition
-//! checkpoints and job journal, and the cross-job composition reuse
-//! store).
+//! The one store-file protocol shared by every persistent store (the
+//! bench compile cache, the supervisor's composition checkpoints and
+//! job journal, the cross-job composition reuse store, and the
+//! verifier's quarantine corpus): how a file is staged, committed,
+//! read, validated, quarantined and found.
+//!
+//! * **Writes** are staged to a temp sibling whose name is unique per
+//!   write (`<name>.<pid>-<n>.tmp`, see [`stage_write`]) and committed
+//!   by an atomic rename, so concurrent writers of one path never
+//!   rename each other's temp files and a crash leaves either the old
+//!   or the new file plus, at worst, a stale `.tmp`
+//!   ([`clean_stale_tmp`]).
+//! * **Loads** read the bytes once, verify the frame, run the store's
+//!   own schema parse, and quarantine the file on either failure
+//!   under the FNV-1a digest of the file bytes
+//!   ([`load_record_quarantining`]).
+//! * **Scans** list a store directory with one sorted, recursive walk
+//!   ([`walk_files`]).
 //!
 //! Atomic temp-file + rename writes protect against a crash *between*
 //! writes, but say nothing about a file that was torn by a mid-write
@@ -31,8 +45,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use geyser_telemetry::Telemetry;
 
@@ -326,17 +340,8 @@ pub fn append_record(path: &Path, payload: &str) -> std::io::Result<()> {
 /// [`StoreReadError::Corrupt`]; a torn tail is *not* an error — it is
 /// reported in the returned [`SegmentedPayloads`].
 pub fn read_segmented_file(path: &Path) -> Result<SegmentedPayloads, StoreReadError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StoreReadError::Io)?;
-    decode_segmented(&bytes).map_err(|e| {
-        StoreReadError::Corrupt(StoreCorruption {
-            path: path.to_path_buf(),
-            digest: fnv1a_bytes(&bytes),
-            reason: e.to_string(),
-            quarantined: None,
-        })
+    read_checked(path, |bytes| {
+        decode_segmented(bytes).map_err(|e| e.to_string())
     })
 }
 
@@ -357,28 +362,67 @@ pub fn truncate_torn_tail(path: &Path) -> Result<u64, StoreReadError> {
 }
 
 /// Removes stale `*.tmp` files directly under `dir` — writes that
-/// were killed between temp-write and rename. Bumps
-/// [`STORE_STALE_TMP_CLEANED_COUNTER`] per file removed. A missing or
-/// unreadable directory cleans nothing; stores call this at open so
-/// crash litter never accumulates.
+/// were killed between temp-write and rename. A missing or unreadable
+/// directory cleans nothing; stores call this at open so crash litter
+/// never accumulates. See [`remove_stale_tmp`].
 pub fn clean_stale_tmp(dir: &Path, telemetry: &Telemetry) -> usize {
-    let mut cleaned = 0usize;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let is_tmp = path
-                .extension()
-                .map(|e| e.to_string_lossy() == "tmp")
-                .unwrap_or(false);
-            if is_tmp && path.is_file() && std::fs::remove_file(&path).is_ok() {
-                cleaned += 1;
-            }
-        }
-    }
+    let children: Vec<PathBuf> = match std::fs::read_dir(dir) {
+        Ok(entries) => entries.flatten().map(|e| e.path()).collect(),
+        Err(_) => Vec::new(),
+    };
+    remove_stale_tmp(&children, telemetry)
+}
+
+/// Removes the `*.tmp` files among `paths` and bumps
+/// [`STORE_STALE_TMP_CLEANED_COUNTER`] per file removed.
+pub fn remove_stale_tmp(paths: &[PathBuf], telemetry: &Telemetry) -> usize {
+    let cleaned = paths
+        .iter()
+        .filter(|p| is_tmp(p) && p.is_file() && std::fs::remove_file(p).is_ok())
+        .count();
     if cleaned > 0 {
         telemetry.counter_add(STORE_STALE_TMP_CLEANED_COUNTER, cleaned as u64);
     }
     cleaned
+}
+
+/// Whether a path names a staged write's temp file (see
+/// [`stage_write`]).
+pub fn is_tmp(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "tmp")
+}
+
+/// Every regular file under `dir`, recursing into subdirectories, in
+/// sorted path order — the one walk every store scan uses. A missing
+/// `dir` is an empty store; any other error reading `dir` itself is
+/// returned, while unreadable subdirectories are skipped.
+pub fn walk_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    fn collect(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+        for entry in std::fs::read_dir(dir)?.flatten() {
+            let path = entry.path();
+            // The directory entry's own type costs no `stat`; only a
+            // symlink is followed to what it points at.
+            let kind = match entry.file_type() {
+                Ok(kind) if kind.is_symlink() => std::fs::metadata(&path).map(|m| m.file_type()),
+                kind => kind,
+            };
+            match kind {
+                Ok(kind) if kind.is_dir() => {
+                    let _ = collect(&path, out);
+                }
+                Ok(kind) if kind.is_file() => out.push(path),
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+    let mut files = Vec::new();
+    match collect(dir, &mut files) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// Why a record file could not be loaded.
@@ -480,63 +524,130 @@ pub fn quarantine_corrupt(
     corruption
 }
 
-/// Writes a framed record crash-safely: encode, write `<path>.tmp`,
-/// atomically rename over `path`. A kill mid-write leaves the
-/// previous record intact; a kill between write and rename leaves a
-/// stray `.tmp` the next write overwrites.
-pub fn write_record_atomic(path: &Path, payload: &str) -> std::io::Result<()> {
+/// A write staged to a temp sibling of its destination and not yet
+/// visible under the destination's name. [`StagedWrite::commit`]
+/// publishes it; dropping it uncommitted leaves the temp file behind
+/// exactly as a kill between write and rename would (the crash hooks
+/// rely on that), for [`clean_stale_tmp`] to sweep.
+#[derive(Debug)]
+#[must_use = "a staged write is invisible until committed"]
+pub struct StagedWrite {
+    tmp: PathBuf,
+    dest: PathBuf,
+}
+
+impl StagedWrite {
+    /// Atomically renames the staged bytes into place.
+    pub fn commit(self) -> std::io::Result<()> {
+        std::fs::rename(&self.tmp, &self.dest)
+    }
+}
+
+/// Process-wide count of staged writes: with the pid, it makes every
+/// temp name unique, so concurrent writers of one path (threads or
+/// processes) never rename each other's temp files.
+static STAGED_WRITES: AtomicU64 = AtomicU64::new(0);
+
+/// Stages `bytes` for `path`: creates the parent directories and
+/// writes the bytes to `<file-name>.<pid>-<n>.tmp` beside it.
+pub fn stage_write(path: &Path, bytes: &[u8]) -> std::io::Result<StagedWrite> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, encode_record(payload))?;
-    std::fs::rename(&tmp, path)
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "store".to_string());
+    let n = STAGED_WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!("{name}.{}-{n}.tmp", std::process::id()));
+    std::fs::write(&tmp, bytes)?;
+    Ok(StagedWrite {
+        tmp,
+        dest: path.to_path_buf(),
+    })
 }
 
-/// Reads and decodes a record file **without** quarantining — for
-/// scanners (`repair`, the chaos store audit) that must observe
-/// corruption in place.
-pub fn read_record_file(path: &Path) -> Result<RecordPayload, StoreReadError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StoreReadError::Io)?;
-    decode_record(&bytes).map_err(|e| {
+/// Writes a framed record crash-safely: [`stage_write`] the encoded
+/// record, then commit it over `path`. A kill mid-write leaves the
+/// previous record intact; a kill between write and rename leaves a
+/// stale `.tmp` for [`clean_stale_tmp`].
+pub fn write_record_atomic(path: &Path, payload: &str) -> std::io::Result<()> {
+    stage_write(path, encode_record(payload).as_bytes())?.commit()
+}
+
+/// Reads `path` once and runs `check` over its bytes, **without**
+/// quarantining — for scanners (`repair`'s audits, the chaos store
+/// audit) that must observe corruption in place. A failed check is
+/// [`StoreReadError::Corrupt`] carrying the FNV-1a digest of the file
+/// bytes; a missing file is [`StoreReadError::Io`].
+pub fn read_checked<T>(
+    path: &Path,
+    check: impl FnOnce(&[u8]) -> Result<T, String>,
+) -> Result<T, StoreReadError> {
+    let bytes = std::fs::read(path).map_err(StoreReadError::Io)?;
+    check(&bytes).map_err(|reason| {
         StoreReadError::Corrupt(StoreCorruption {
             path: path.to_path_buf(),
             digest: fnv1a_bytes(&bytes),
-            reason: e.to_string(),
+            reason,
             quarantined: None,
         })
     })
 }
 
+/// [`read_checked`] that quarantines a file failing `check` (see
+/// [`quarantine_corrupt`]) under the store kind `label`.
+pub fn load_quarantining<T>(
+    path: &Path,
+    label: &str,
+    telemetry: &Telemetry,
+    check: impl FnOnce(&[u8]) -> Result<T, String>,
+) -> Result<T, StoreReadError> {
+    let bytes = std::fs::read(path).map_err(StoreReadError::Io)?;
+    check(&bytes).map_err(|reason| {
+        StoreReadError::Corrupt(quarantine_corrupt(path, &bytes, &reason, label, telemetry))
+    })
+}
+
+/// The validated loader every record store uses: reads `path` once,
+/// verifies its frame, runs the store's schema `parse` on the
+/// payload, and on either failure quarantines the file under the
+/// digest of its bytes. Each store keeps its own rule on
+/// [`RecordPayload::Legacy`] (unframed) payloads inside `parse`.
+pub fn load_record_quarantining<T>(
+    path: &Path,
+    label: &str,
+    telemetry: &Telemetry,
+    parse: impl FnOnce(RecordPayload) -> Result<T, String>,
+) -> Result<T, StoreReadError> {
+    load_quarantining(path, label, telemetry, framed(parse))
+}
+
+/// Lifts a payload `parse` into a check over file bytes: verify the
+/// frame first, then parse. For [`read_checked`] /
+/// [`load_quarantining`].
+pub fn framed<T>(
+    parse: impl FnOnce(RecordPayload) -> Result<T, String>,
+) -> impl FnOnce(&[u8]) -> Result<T, String> {
+    move |bytes| parse(decode_record(bytes).map_err(|e| e.to_string())?)
+}
+
+/// Reads and decodes a record file **without** quarantining (see
+/// [`read_checked`]).
+pub fn read_record_file(path: &Path) -> Result<RecordPayload, StoreReadError> {
+    read_checked(path, framed(Ok))
+}
+
 /// Reads and decodes a record file, quarantining it on frame
-/// corruption. `label` names the store kind in the warning line
-/// (`cache` / `checkpoint`). Frame-valid payloads that later fail
-/// JSON parsing should be handed back to [`quarantine_corrupt`] by
-/// the caller — only the caller knows the schema.
+/// corruption: [`load_record_quarantining`] with no schema check.
 pub fn read_record_file_quarantining(
     path: &Path,
     label: &str,
     telemetry: &Telemetry,
 ) -> Result<RecordPayload, StoreReadError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(StoreReadError::Io)?;
-    match decode_record(&bytes) {
-        Ok(payload) => Ok(payload),
-        Err(e) => Err(StoreReadError::Corrupt(quarantine_corrupt(
-            path,
-            &bytes,
-            &e.to_string(),
-            label,
-            telemetry,
-        ))),
-    }
+    load_record_quarantining(path, label, telemetry, Ok)
 }
 
 #[cfg(test)]
@@ -618,11 +729,28 @@ mod tests {
         assert_eq!(decoded.text(), r#"{"version": 3}"#);
     }
 
+    /// Temp files left beside `path` by a staged write.
+    fn tmp_siblings(path: &Path) -> Vec<PathBuf> {
+        let prefix = path.file_name().unwrap().to_string_lossy().into_owned();
+        std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| {
+                is_tmp(p)
+                    && p.file_name()
+                        .unwrap()
+                        .to_string_lossy()
+                        .starts_with(&prefix)
+            })
+            .collect()
+    }
+
     #[test]
     fn write_and_read_roundtrip_through_disk() {
         let path = temp_path("roundtrip");
         write_record_atomic(&path, "body").unwrap();
-        assert!(!path.with_extension("json.tmp").exists());
+        assert!(tmp_siblings(&path).is_empty());
         let back = read_record_file(&path).unwrap();
         assert_eq!(back, RecordPayload::Framed("body".to_string()));
         let _ = std::fs::remove_file(&path);
@@ -812,6 +940,70 @@ mod tests {
         assert_eq!(
             telemetry.counter_value(STORE_STALE_TMP_CLEANED_COUNTER),
             Some(2)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staged_writes_get_unique_tmp_names_and_commit_atomically() {
+        let path = temp_path("staged");
+        let first = stage_write(&path, b"one").unwrap();
+        let second = stage_write(&path, b"two").unwrap();
+        assert_eq!(tmp_siblings(&path).len(), 2, "one temp file per write");
+        assert!(!path.exists(), "nothing is visible before a commit");
+        first.commit().unwrap();
+        second.commit().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        assert!(tmp_siblings(&path).is_empty());
+        // An uncommitted stage is exactly a kill between write and
+        // rename: the destination is untouched and the temp stays.
+        let _uncommitted = stage_write(&path, b"three").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        let stale = tmp_siblings(&path);
+        assert_eq!(stale.len(), 1);
+        let _ = std::fs::remove_file(&stale[0]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn schema_failures_quarantine_under_the_file_digest() {
+        let path = temp_path("schema-digest");
+        write_record_atomic(&path, "not the schema").unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let telemetry = Telemetry::enabled();
+        let err = load_record_quarantining(&path, "test", &telemetry, |_| {
+            Err::<(), _>("schema says no".to_string())
+        })
+        .unwrap_err();
+        let StoreReadError::Corrupt(c) = err else {
+            panic!("a schema failure is corruption");
+        };
+        assert_eq!(c.digest, fnv1a_bytes(&bytes));
+        assert_eq!(c.reason, "schema says no");
+        let sidecar = corrupt_sidecar_path(&path, fnv1a_bytes(&bytes));
+        assert_eq!(c.quarantined.as_deref(), Some(sidecar.as_path()));
+        assert_eq!(std::fs::read(&sidecar).unwrap(), bytes);
+        let _ = std::fs::remove_file(&sidecar);
+    }
+
+    #[test]
+    fn walk_is_sorted_recursive_and_treats_missing_as_empty() {
+        let dir = std::env::temp_dir().join(format!("geyser-store-walk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("b/deeper")).unwrap();
+        for file in ["c.json", "a.json", "b/deeper/x.tmp", "b/y.json"] {
+            std::fs::write(dir.join(file), "x").unwrap();
+        }
+        let rel: Vec<String> = walk_files(&dir)
+            .unwrap()
+            .iter()
+            .map(|p| p.strip_prefix(&dir).unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(rel, ["a.json", "b/deeper/x.tmp", "b/y.json", "c.json"]);
+        assert!(walk_files(&dir.join("missing")).unwrap().is_empty());
+        assert!(
+            walk_files(&dir.join("a.json")).is_err(),
+            "a file is not a store"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use geyser::store::{
-    fnv1a_bytes, quarantine_corrupt, read_record_file, read_record_file_quarantining,
-    write_record_atomic, StoreReadError,
+    fnv1a_bytes, framed, load_record_quarantining, read_checked, write_record_atomic,
+    RecordPayload, StoreReadError,
 };
 use geyser::{CancelToken, Telemetry};
 use geyser_circuit::Circuit;
@@ -223,8 +223,7 @@ impl std::error::Error for CheckpointError {}
 /// FNV-1a fingerprint of a circuit's debug form — the same scheme the
 /// bench cache uses to bind artifacts to their exact input.
 pub fn checkpoint_fingerprint(circuit: &Circuit) -> u64 {
-    let text = format!("{circuit:?}");
-    fnv1a(&text)
+    fnv1a_bytes(format!("{circuit:?}").as_bytes())
 }
 
 /// FNV-1a hash of the composition parameters that shape per-block
@@ -237,51 +236,47 @@ pub fn composition_config_hash(cfg: &CompositionConfig) -> u64 {
         "eps={:?}|layers={}|iters={}|restarts={}|retries={}",
         cfg.epsilon, cfg.max_layers, cfg.anneal_iters, cfg.restarts, cfg.retry_attempts
     );
-    fnv1a(&text)
-}
-
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a_bytes(text.as_bytes())
 }
 
 /// Writes the checkpoint crash-safely as a framed record (length
-/// prefix + FNV checksum, see [`geyser::store`]): serialize to
-/// `<path>.tmp`, then atomically rename over `path`. A crash
+/// prefix + FNV checksum) through [`write_record_atomic`]: a crash
 /// mid-write leaves the previous checkpoint intact; a crash between
-/// write and rename leaves a stray `.tmp` that the next write simply
-/// overwrites; a torn rename target fails the frame check on load.
+/// write and rename leaves a stale `.tmp` that the next store open
+/// sweeps; a torn rename target fails the frame check on load.
 pub fn write_checkpoint_atomic(path: &Path, checkpoint: &Checkpoint) -> std::io::Result<()> {
     let body = serde_json::to_string(checkpoint)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     write_record_atomic(path, &body)
 }
 
-fn parse_checkpoint(payload: &str) -> Result<Checkpoint, CheckpointError> {
-    serde_json::from_str(payload).map_err(|_| CheckpointError::Corrupt {
-        digest: fnv1a_bytes(payload.as_bytes()),
-        reason: "checkpoint JSON does not parse or has version skew".to_string(),
-    })
+/// Parses a record payload as a checkpoint — the schema check every
+/// checkpoint loader (and `repair`) runs. Unframed (pre-framing)
+/// payloads parse as legacy JSON.
+pub fn parse_checkpoint(payload: RecordPayload) -> Result<Checkpoint, String> {
+    serde_json::from_str(payload.text())
+        .map_err(|_| "checkpoint JSON does not parse or has version skew".to_string())
+}
+
+impl From<StoreReadError> for CheckpointError {
+    fn from(e: StoreReadError) -> Self {
+        match e {
+            StoreReadError::Io(e) => CheckpointError::Io(e),
+            StoreReadError::Corrupt(c) => CheckpointError::Corrupt {
+                digest: c.digest,
+                reason: c.reason,
+            },
+        }
+    }
 }
 
 /// Loads a checkpoint, distinguishing unreadable files from corrupt
 /// ones; the frame's length and checksum are verified before any JSON
-/// parsing. Unframed (pre-framing) files still parse as legacy JSON.
-/// The file is left in place — see [`load_checkpoint_quarantining`]
-/// for the variant the supervised pipeline uses.
+/// parsing. The file is left in place — see
+/// [`load_checkpoint_quarantining`] for the variant the supervised
+/// pipeline uses.
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    match read_record_file(path) {
-        Ok(payload) => parse_checkpoint(payload.text()),
-        Err(StoreReadError::Io(e)) => Err(CheckpointError::Io(e)),
-        Err(StoreReadError::Corrupt(c)) => Err(CheckpointError::Corrupt {
-            digest: c.digest,
-            reason: c.reason,
-        }),
-    }
+    Ok(read_checked(path, framed(parse_checkpoint))?)
 }
 
 /// Loads a checkpoint like [`load_checkpoint`], but quarantines a
@@ -293,28 +288,12 @@ pub fn load_checkpoint_quarantining(
     path: &Path,
     telemetry: &Telemetry,
 ) -> Result<Checkpoint, CheckpointError> {
-    match read_record_file_quarantining(path, "checkpoint", telemetry) {
-        Ok(payload) => match parse_checkpoint(payload.text()) {
-            Ok(ckpt) => Ok(ckpt),
-            Err(CheckpointError::Corrupt { reason, .. }) => {
-                // The frame verified (or the file predates framing) but
-                // the payload is not a checkpoint: quarantine the file
-                // bytes as-is.
-                let bytes = std::fs::read(path).unwrap_or_default();
-                let c = quarantine_corrupt(path, &bytes, &reason, "checkpoint", telemetry);
-                Err(CheckpointError::Corrupt {
-                    digest: c.digest,
-                    reason: c.reason,
-                })
-            }
-            Err(e) => Err(e),
-        },
-        Err(StoreReadError::Io(e)) => Err(CheckpointError::Io(e)),
-        Err(StoreReadError::Corrupt(c)) => Err(CheckpointError::Corrupt {
-            digest: c.digest,
-            reason: c.reason,
-        }),
-    }
+    Ok(load_record_quarantining(
+        path,
+        "checkpoint",
+        telemetry,
+        parse_checkpoint,
+    )?)
 }
 
 /// The live checkpoint writer: a [`BlockObserver`] that persists the
@@ -575,7 +554,17 @@ mod tests {
         let path = temp_path("atomic");
         write_checkpoint_atomic(&path, &Checkpoint::new(5, 6, 7, 8, 9)).unwrap();
         assert!(path.exists());
-        assert!(!path.with_extension("json.tmp").exists());
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let tmps = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| {
+                geyser::store::is_tmp(p)
+                    && p.file_name().unwrap().to_string_lossy().starts_with(&name)
+            })
+            .count();
+        assert_eq!(tmps, 0, "no *.tmp sibling may be left behind");
         let _ = std::fs::remove_file(&path);
     }
 

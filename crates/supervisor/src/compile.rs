@@ -1,15 +1,14 @@
 //! One supervised pipeline attempt: the stock pass list with the
-//! composition stage swapped for a checkpoint-aware twin.
+//! composition stage wrapped in checkpoint load and write.
 
 use std::path::PathBuf;
 
+use geyser::passes::ComposePass;
 use geyser::{
-    CancelToken, CompileContext, CompileError, CompiledCircuit, Deadline, FaultInjector, Pass,
-    PassManager, PipelineConfig, Technique, Telemetry,
+    CancelToken, CompileContext, CompileError, CompiledCircuit, FaultInjector, Pass, PassManager,
+    PipelineConfig, Technique, Telemetry,
 };
 use geyser_circuit::Circuit;
-use geyser_compose::{try_compose_blocked_circuit_reusing, try_compose_blocked_circuit_supervised};
-use geyser_reuse::{load_reuse_dir, reuse_config_hash, save_reuse_dir, ReuseSession};
 
 use crate::checkpoint::{
     checkpoint_fingerprint, composition_config_hash, load_checkpoint_quarantining, Checkpoint,
@@ -120,14 +119,7 @@ impl Pass for CheckpointedComposePass {
             pass: "compose",
             requires: "block",
         })?;
-        // Same budget threading as the stock compose pass.
-        let mut cfg = ctx.config().composition;
-        if ctx.faults().force_compose_timeout {
-            cfg = cfg.with_deadline(Deadline::already_expired());
-        } else if ctx.deadline().is_bounded() {
-            cfg = cfg.with_deadline(ctx.deadline());
-        }
-
+        let cfg = ComposePass::config(ctx);
         let fingerprint = checkpoint_fingerprint(blocked.source());
         let num_blocks = blocked.num_blocks();
         let config_hash = composition_config_hash(&cfg);
@@ -171,72 +163,7 @@ impl Pass for CheckpointedComposePass {
             ctx.cancel().clone(),
             self.heartbeat.clone(),
         );
-        // Reuse composes with checkpoint-resume: restored blocks are
-        // never fingerprinted (they did no work to cache), fresh ones
-        // consult the session index as usual.
-        let reuse = ctx.config().reuse.clone();
-        let mut composed = if reuse.enabled {
-            let mut session = ReuseSession::new(
-                hardware_digest,
-                reuse_config_hash(
-                    cfg.epsilon,
-                    cfg.max_layers,
-                    cfg.anneal_iters,
-                    cfg.restarts,
-                    cfg.retry_attempts,
-                ),
-            )
-            .with_warm_start(reuse.warm_start)
-            .with_skip_verify_fault(ctx.faults().reuse_skip_verify);
-            if let Some(dir) = &reuse.store {
-                load_reuse_dir(dir, &mut session, ctx.telemetry()).map_err(|e| {
-                    CompileError::ReuseStore {
-                        detail: format!("loading {}: {e}", dir.display()),
-                    }
-                })?;
-            }
-            if ctx.faults().reuse_poison {
-                session.poison_entries();
-            }
-            let composed = try_compose_blocked_circuit_reusing(
-                blocked,
-                &cfg,
-                &ctx.faults().compose,
-                ctx.cancel(),
-                &prior,
-                Some(&writer),
-                ctx.telemetry(),
-                Some(&mut session),
-            )?;
-            if let Some(dir) = &reuse.store {
-                save_reuse_dir(dir, &mut session).map_err(|e| CompileError::ReuseStore {
-                    detail: format!("saving {}: {e}", dir.display()),
-                })?;
-            }
-            let stats = session.stats;
-            (composed, Some(stats))
-        } else {
-            let composed = try_compose_blocked_circuit_supervised(
-                blocked,
-                &cfg,
-                &ctx.faults().compose,
-                ctx.cancel(),
-                &prior,
-                Some(&writer),
-                ctx.telemetry(),
-            )?;
-            (composed, None)
-        };
-        if let Some(stats) = composed.1 {
-            composed.0.stats.reuse = Some(stats);
-        }
-        ctx.set_composed(composed.0.circuit, composed.0.stats);
-        if ctx.cancel().is_cancelled() {
-            return Err(CompileError::Cancelled {
-                pass: "compose".to_string(),
-            });
-        }
-        Ok(())
+        ComposePass::compose(ctx, &cfg, &prior, Some(&writer))
     }
 }
 

@@ -29,7 +29,7 @@
 //!
 //! **Compaction.** Replay cost is bounded: every
 //! [`Journal::COMPACT_EVERY`] appended events the journal rewrites
-//! itself (temp file + atomic rename) as one `snapshot` marker
+//! itself (staged temp file + atomic rename) as one `snapshot` marker
 //! followed by the folded per-job events — one terminal event per
 //! settled job, one admitted (+ dispatched) event per pending job.
 //! A crash during compaction leaves either the old journal or the new
@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    append_record, clean_stale_tmp, encode_record, fnv1a_bytes, read_segmented_file,
+    append_record, clean_stale_tmp, decode_segmented, encode_record, read_checked, stage_write,
     truncate_torn_tail, StoreReadError,
 };
 use geyser::Telemetry;
@@ -343,20 +343,19 @@ impl Journal {
             stale_tmp_cleaned,
             ..JournalOpenStats::default()
         };
-        match read_segmented_file(path) {
-            Ok(decoded) => {
-                if decoded.torn_bytes > 0 {
+        match load_journal_events(path) {
+            Ok((events, torn_bytes)) => {
+                if torn_bytes > 0 {
                     open_stats.torn_bytes_truncated =
                         truncate_torn_tail(path).map_err(JournalError::from)?;
                 }
-                for payload in &decoded.records {
-                    let event = parse_event(payload)?;
-                    replay.apply(&event);
+                for event in &events {
+                    replay.apply(event);
                 }
-                open_stats.events_replayed = decoded.records.len() as u64;
+                open_stats.events_replayed = events.len() as u64;
             }
-            Err(StoreReadError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
+            Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
         }
         Ok(Journal {
             path: path.to_path_buf(),
@@ -416,14 +415,14 @@ impl Journal {
     }
 
     /// Arms the injected compaction crash (chaos
-    /// `kill-mid-compaction`): the next [`Journal::compact`] writes
+    /// `kill-mid-compaction`): the next [`Journal::compact`] stages
     /// its temp file and returns `false` without committing.
     pub fn inject_compaction_crash(&mut self) {
         self.crash_next_compaction = true;
     }
 
     /// Rewrites the journal as a snapshot: one marker frame, then the
-    /// folded per-job events. Written to a temp file and committed by
+    /// folded per-job events. Staged to a temp file and committed by
     /// atomic rename, so a crash leaves the old journal fully intact.
     /// Returns whether the rewrite committed (`false` only under the
     /// injected compaction crash).
@@ -449,35 +448,36 @@ impl Journal {
                 body.push_str(&encode(&JournalEvent::dispatched(*id, event.now_ms))?);
             }
         }
-        let tmp = self.path.with_extension("journal.tmp");
-        std::fs::write(&tmp, &body)?;
+        let staged = stage_write(&self.path, body.as_bytes())?;
         if self.crash_next_compaction {
             self.crash_next_compaction = false;
             return Ok(false);
         }
-        std::fs::rename(&tmp, &self.path)?;
+        staged.commit()?;
         self.events_since_compaction = 0;
         Ok(true)
     }
 }
 
-fn parse_event(payload: &str) -> Result<JournalEvent, JournalError> {
-    serde_json::from_str(payload).map_err(|_| JournalError::Corrupt {
-        digest: fnv1a_bytes(payload.as_bytes()),
-        reason: "frame payload is not a journal event".to_string(),
-    })
+/// Decodes a journal file's bytes: the events of every intact frame
+/// plus the torn-tail byte count (0 when clean). The schema check
+/// every journal reader (and `repair`) runs.
+pub fn decode_journal(bytes: &[u8]) -> Result<(Vec<JournalEvent>, u64), String> {
+    let decoded = decode_segmented(bytes).map_err(|e| e.to_string())?;
+    let events = decoded
+        .records
+        .iter()
+        .map(|payload| serde_json::from_str(payload))
+        .collect::<Result<Vec<JournalEvent>, _>>()
+        .map_err(|_| "frame payload is not a journal event".to_string())?;
+    Ok((events, decoded.torn_bytes))
 }
 
 /// Loads a journal's events without truncating or mutating anything —
-/// the scanner-grade loader `repair` and the chaos audit use. Returns
-/// the events plus the torn-tail byte count (0 when clean).
+/// the scanner-grade loader the chaos audit uses. Returns the events
+/// plus the torn-tail byte count (0 when clean).
 pub fn load_journal_events(path: &Path) -> Result<(Vec<JournalEvent>, u64), JournalError> {
-    let decoded = read_segmented_file(path).map_err(JournalError::from)?;
-    let mut events = Vec::with_capacity(decoded.records.len());
-    for payload in &decoded.records {
-        events.push(parse_event(payload)?);
-    }
-    Ok((events, decoded.torn_bytes))
+    Ok(read_checked(path, decode_journal)?)
 }
 
 #[cfg(test)]
@@ -638,7 +638,16 @@ mod tests {
         drop(journal);
         // The stray .tmp is on disk; the journal itself is the
         // pre-compaction generation, fully replayable.
-        assert!(path.with_extension("journal.tmp").exists());
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let stray_tmp = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .any(|p| {
+                geyser::store::is_tmp(&p)
+                    && p.file_name().unwrap().to_string_lossy().starts_with(&name)
+            });
+        assert!(stray_tmp, "a *.tmp sibling stays behind");
         let reopened = Journal::open(&path, &t).unwrap();
         assert!(
             reopened.open_stats().stale_tmp_cleaned >= 1,

@@ -71,15 +71,15 @@ mod watchdog;
 pub use admission::{CostModel, RejectReason};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use checkpoint::{
-    checkpoint_fingerprint, load_checkpoint, load_checkpoint_quarantining, write_checkpoint_atomic,
-    Checkpoint, CheckpointError,
+    checkpoint_fingerprint, load_checkpoint, load_checkpoint_quarantining, parse_checkpoint,
+    write_checkpoint_atomic, Checkpoint, CheckpointError,
 };
 pub use compile::{run_supervised_compile, CheckpointedComposePass, SupervisedCompileOptions};
 pub use error::SupervisorError;
 pub use job::{JobHandle, JobResult, JobSpec, JobState};
 pub use journal::{
-    load_journal_events, Journal, JournalError, JournalEvent, JournalOpenStats, JournalReplay,
-    JOURNAL_VERSION,
+    decode_journal, load_journal_events, Journal, JournalError, JournalEvent, JournalOpenStats,
+    JournalReplay, JOURNAL_VERSION,
 };
 pub use retry::RetryPolicy;
 pub use service::{

@@ -1,5 +1,7 @@
 //! Seeded exponential backoff with deterministic jitter.
 
+use geyser::splitmix64;
+
 /// Retry budget and backoff schedule for retryable failures.
 ///
 /// The schedule is exponential (`base_backoff_ms · 2^attempt`),
@@ -28,15 +30,6 @@ impl Default for RetryPolicy {
             seed: 0,
         }
     }
-}
-
-/// One splitmix64 draw — the repo's standard dependency-free
-/// generator (also used by `FaultInjector::sampled`).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicy {

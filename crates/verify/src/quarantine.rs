@@ -5,8 +5,10 @@
 //! plus everything needed to re-run it bit-identically: the fuzz-case
 //! seed, pipeline config tag, technique, injected fault spec (if the
 //! failure was seeded deliberately), and the oracle verdict that
-//! condemned it. Writes are atomic (`.tmp` + rename) so a crash
-//! mid-write can never leave a half-entry that poisons `replay`.
+//! condemned it. Entries are unframed JSON written through the
+//! `geyser-store` protocol (a staged `.tmp` unique per write, then an
+//! atomic rename) so a crash mid-write can never leave a half-entry
+//! that poisons `replay`.
 
 use std::fs;
 use std::io;
@@ -14,6 +16,7 @@ use std::path::{Path, PathBuf};
 
 use geyser_circuit::{from_qasm, to_qasm, Circuit};
 use geyser_hardware::HardwareSpec;
+use geyser_store::{stage_write, walk_files};
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// One quarantined failure: metadata plus the minimized reproducer.
@@ -129,13 +132,10 @@ pub fn entry_path(dir: &Path, id: &str) -> PathBuf {
 /// Writes an entry atomically, creating the directory if needed.
 /// Returns the entry's final path.
 pub fn write_entry(dir: &Path, entry: &QuarantineEntry) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
     let path = entry_path(dir, &entry.id);
     let body = serde_json::to_string_pretty(entry)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, body)?;
-    fs::rename(&tmp, &path)?;
+    stage_write(&path, body.as_bytes())?.commit()?;
     Ok(path)
 }
 
@@ -143,15 +143,10 @@ pub fn write_entry(dir: &Path, entry: &QuarantineEntry) -> io::Result<PathBuf> {
 /// order is stable. A missing directory is an empty corpus; a corrupt
 /// entry is a hard error (replay must not silently skip a reproducer).
 pub fn load_entries(dir: &Path) -> io::Result<Vec<QuarantineEntry>> {
-    let mut paths: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(iter) => iter
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().map(|x| x == "json").unwrap_or(false))
-            .collect(),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    paths.sort();
+    let paths: Vec<PathBuf> = walk_files(dir)?
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
     let mut entries = Vec::with_capacity(paths.len());
     for path in paths {
         let body = fs::read_to_string(&path)?;
