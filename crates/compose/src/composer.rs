@@ -13,7 +13,6 @@
 //! whole compilation. A circuit always composes; the outcomes record
 //! how much of it degraded.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -673,11 +672,11 @@ fn search_layer(
     trace: &mut ReuseTrace,
 ) -> Option<(f64, Vec<f64>)> {
     let bounds = Bounds::new(&ansatz.bounds());
-    // Every phase below shares one memoized kernel: its answers are
+    // Every phase below shares one memoized kernel: its values are
     // bit-identical to `hilbert_schmidt_distance(&ansatz.unitary(p),
-    // target)` (see `objective.rs`), so the search is unchanged.
-    let kernel = RefCell::new(AnsatzObjective::new(*ansatz, target));
-    let objective = |params: &[f64]| kernel.borrow_mut().distance(params);
+    // target)`, and Adam's gradients come from its adjoint sweep (see
+    // `objective.rs`).
+    let mut kernel = AnsatzObjective::new(*ansatz, target);
     let base_seed = config
         .seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -705,7 +704,7 @@ fn search_layer(
                 .with_max_iters((config.anneal_iters / 4).max(16));
         }
     }
-    let global = dual_annealing(&objective, &bounds, &da_cfg);
+    let global = dual_annealing(|p: &[f64]| kernel.distance(p), &bounds, &da_cfg);
     trace.evaluations += global.evaluations as u64;
     telemetry.counter_add("compose.anneal_evaluations", global.evaluations as u64);
     if global.evaluations > 0 {
@@ -730,7 +729,12 @@ fn search_layer(
     .with_target(config.epsilon * 0.5)
     .with_deadline(config.deadline)
     .with_cancel(cancel.clone());
-    let refined = adam(&objective, &bounds, &global.x, &adam_cfg);
+    let refined = adam(
+        |p: &[f64], g: &mut [f64]| kernel.distance_and_gradient(p, g),
+        &bounds,
+        &global.x,
+        &adam_cfg,
+    );
     telemetry.counter_add("compose.refine_evaluations", refined.evaluations as u64);
     let mut best = if refined.fx < global.fx {
         (refined.fx, refined.x)
@@ -794,14 +798,18 @@ fn search_layer(
                 x0[*slot] = cat;
             }
             // Freeze the categorical during descent by pinning its
-            // bounds — Adam's finite difference would otherwise step
-            // across the decode boundary.
+            // bounds (Adam zeroes the gradient of pinned coordinates).
             let mut pinned = ansatz.bounds();
             for (slot, &cat) in categorical_slots(ansatz).iter().zip(&combo) {
                 pinned[*slot] = (cat, cat);
             }
             let pinned_bounds = Bounds::new(&pinned);
-            let res = adam(&objective, &pinned_bounds, &x0, &adam_cfg);
+            let res = adam(
+                |p: &[f64], g: &mut [f64]| kernel.distance_and_gradient(p, g),
+                &pinned_bounds,
+                &x0,
+                &adam_cfg,
+            );
             telemetry.counter_add("compose.refine_evaluations", res.evaluations as u64);
             if res.fx < best.0 {
                 best = (res.fx, res.x);
@@ -1531,13 +1539,15 @@ mod tests {
     }
 
     /// Golden search regression: three blocks at `CompositionConfig::fast()`
-    /// must keep the exact annealer evaluation count, outcome and
-    /// accepted-HSD bits recorded before the objective kernel was
-    /// replaced — any drift in the objective's floating point shows up
-    /// here as a different trajectory.
+    /// must keep the exact annealer evaluation count, outcome,
+    /// accepted-HSD bits, pulses and Adam call count — any drift in
+    /// the objective's or the gradient's floating point shows up here
+    /// as a different trajectory.
     #[test]
     fn golden_search_is_bit_identical() {
-        let golden: [(&str, Circuit, u64, &str, u64, u64); 3] = [
+        // (name, block, annealer evaluations, outcome, accepted-HSD
+        // bits, pulses, Adam calls)
+        let golden: [(&str, Circuit, u64, &str, u64, u64, u64); 3] = [
             (
                 "decomposed-ccz",
                 decomposed_ccz(),
@@ -1545,14 +1555,16 @@ mod tests {
                 "composed/2",
                 0x3cd6000000000000,
                 17,
+                1953,
             ),
             (
                 "dressed-ccz",
                 dressed_ccz(),
                 5852,
                 "composed/1",
-                0x3f3f4bdb44197000,
+                0x3f3f4b6e60aaf800,
                 11,
+                1483,
             ),
             (
                 "dressed-cz-pair",
@@ -1561,9 +1573,10 @@ mod tests {
                 "non-convergence",
                 0,
                 16,
+                3906,
             ),
         ];
-        for (name, block, evals, outcome, hsd_bits, pulses) in golden {
+        for (name, block, evals, outcome, hsd_bits, pulses, refine) in golden {
             let telemetry = Telemetry::enabled();
             let res = compose_block_inner(
                 &block,
@@ -1586,12 +1599,11 @@ mod tests {
             assert_eq!(res.hsd.to_bits(), hsd_bits, "{name}: hsd {}", res.hsd);
             assert_eq!(res.circuit.total_pulses(), pulses, "{name}");
             // Every block here reaches Adam, whose calls are counted
-            // apart from the annealer's.
-            assert!(
-                telemetry
-                    .counter_value("compose.refine_evaluations")
-                    .unwrap_or(0)
-                    > 0,
+            // apart from the annealer's; their number pins the
+            // gradient kernel's trajectory.
+            assert_eq!(
+                telemetry.counter_value("compose.refine_evaluations"),
+                Some(refine),
                 "{name}"
             );
         }

@@ -27,13 +27,35 @@
 //! own partial products. Suffix products are deliberately *not*
 //! cached: `(AB)C ≠ A(BC)` in floating point, so recombining a cached
 //! suffix would change the bits and with them the search.
+//!
+//! # Adjoint gradient
+//!
+//! [`AnsatzObjective::distance_and_gradient`] returns the same value
+//! bits plus all partials from one backward sweep over the memoized
+//! chain (DESIGN.md §4.3). With `U = S_L ⋯ S_0`, `S_0 = W_0`,
+//! `S_w = W_w·D_w` and `z = Tr(U†T)`, the distance is `1 − |z|/8`, so
+//! `∂HSD = Re(κ·Tr(T†·∂U))` with `κ = −z / (8|z|)`. A parameter of
+//! wall `w` enters as `∂U = A_w·∂W_w·B_w`, hence
+//! `Tr(T†·∂U) = Tr(M_w·∂W_w)` with the environment
+//! `M_w = B_w·G_w`, where
+//!
+//! - `G_L = T†` and `G_{w−1} = G_w·S_w` (the backward sweep);
+//! - `B_w = D_w·P_{w−1}` for `w ≥ 1` and `B_0 = I`, so `M_0 = G_0`.
+//!
+//! `W_w = u_0 ⊗ u_1 ⊗ u_2`, so `M_w` contracts against two of the
+//! U3s into a 2×2 environment `E_q` per qubit, and each partial is
+//! `Re(κ·Tr(E_q·∂u_q))` with the closed-form derivatives of
+//! [`u3_entries`]. Categorical entries decode piecewise-constantly:
+//! their partial is 0. The gradient is exact up to rounding; only the
+//! value carries the bit-identity contract.
 
 use geyser_circuit::u3_entries;
 use geyser_num::{CMatrix, Complex, Mat2, Mat8};
 
 use crate::{Ansatz, Entangler};
 
-/// Memoized `params ↦ HSD(ansatz.unitary(params), target)` evaluator.
+/// Memoized `params ↦ HSD(ansatz.unitary(params), target)` evaluator,
+/// with its adjoint gradient.
 ///
 /// One instance serves one ansatz depth and one target; all buffers
 /// are allocated in [`AnsatzObjective::new`], none per query.
@@ -41,6 +63,8 @@ use crate::{Ansatz, Entangler};
 pub(crate) struct AnsatzObjective {
     ansatz: Ansatz,
     target: Mat8,
+    /// `T†`, the start of the backward sweep.
+    target_dagger: Mat8,
     /// Parameters of the last query (meaningful once `primed`).
     last: Vec<f64>,
     primed: bool,
@@ -64,9 +88,11 @@ impl AnsatzObjective {
     /// Panics if `target` is not 8×8.
     pub(crate) fn new(ansatz: Ansatz, target: &CMatrix) -> Self {
         let walls = ansatz.layers() + 1;
+        let target = Mat8::from_cmatrix(target);
         AnsatzObjective {
             ansatz,
-            target: Mat8::from_cmatrix(target),
+            target,
+            target_dagger: target.dagger(),
             last: vec![0.0; ansatz.num_params()],
             primed: false,
             u3: vec![[Complex::ZERO; 4]; 3 * walls],
@@ -134,6 +160,100 @@ impl AnsatzObjective {
         }
         self.prefix[layers].hilbert_schmidt_distance(&self.target)
     }
+
+    /// [`AnsatzObjective::distance`] and, into a non-empty `grad`, its
+    /// exact gradient (module docs): the returned value has
+    /// `distance`'s bits, categorical partials are 0. An empty `grad`
+    /// asks for the value only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != ansatz.num_params()`, or if `grad` is
+    /// non-empty and of a different length.
+    pub(crate) fn distance_and_gradient(&mut self, params: &[f64], grad: &mut [f64]) -> f64 {
+        let value = self.distance(params);
+        if grad.is_empty() {
+            return value;
+        }
+        assert_eq!(grad.len(), params.len(), "gradient length");
+        let layers = self.ansatz.layers();
+        let z = self.prefix[layers].hilbert_schmidt_inner(&self.target);
+        let norm = z.norm();
+        // `1 − |z|/8` is flat where the clamp at 0 binds and has no
+        // derivative at z = 0.
+        if norm == 0.0 || 1.0 - norm / 8.0 < 0.0 {
+            grad.fill(0.0);
+            return value;
+        }
+        let kappa = z * (-1.0 / (8.0 * norm));
+        let mut g = self.target_dagger;
+        for wall in (0..=layers).rev() {
+            let env = if wall == 0 {
+                g
+            } else {
+                let ent = self.entanglers[wall - 1].diagonal();
+                self.prefix[wall - 1].diag_mul(&ent).matmul(&g)
+            };
+            let angles = if wall == 0 { 0 } else { 10 * wall };
+            let u = &self.u3[3 * wall..3 * wall + 3];
+            for q in 0..3 {
+                let e = qubit_environment(&env, u, q);
+                let at = angles + 3 * q;
+                let partials = u3_partials(params[at], params[at + 1], params[at + 2]);
+                for (k, d) in partials.iter().enumerate() {
+                    // Tr(E·∂u) = Σ E[r][s]·∂u[s][r].
+                    let y = e[0] * d[0] + e[1] * d[2] + e[2] * d[1] + e[3] * d[3];
+                    grad[at + k] = (kappa * y).re;
+                }
+            }
+            if wall > 0 {
+                grad[angles - 1] = 0.0;
+                g = g.matmul(&self.steps[wall]);
+            }
+        }
+        value
+    }
+}
+
+/// 2×2 environment of qubit `q` in `Tr(M·(u_0 ⊗ u_1 ⊗ u_2))`:
+/// `E[r_q][s_q] = Σ M[r][s]·Π_{p≠q} u_p[s_p][r_p]`, so replacing `u_q`
+/// by `X` gives `Tr(E·X)`.
+fn qubit_environment(m: &Mat8, u: &[Mat2], q: usize) -> Mat2 {
+    let bit = |i: usize, p: usize| (i >> (2 - p)) & 1;
+    let (a, b) = match q {
+        0 => (1, 2),
+        1 => (0, 2),
+        _ => (0, 1),
+    };
+    let mut e = [Complex::ZERO; 4];
+    for r in 0..8 {
+        for s in 0..8 {
+            let w = u[a][2 * bit(s, a) + bit(r, a)] * u[b][2 * bit(s, b) + bit(r, b)];
+            e[2 * bit(r, q) + bit(s, q)] += m.get(r, s) * w;
+        }
+    }
+    e
+}
+
+/// `∂/∂θ`, `∂/∂φ` and `∂/∂λ` of [`u3_entries`]`(θ, φ, λ)`.
+fn u3_partials(theta: f64, phi: f64, lambda: f64) -> [Mat2; 3] {
+    let (c, s) = ((theta / 2.0).cos(), (theta / 2.0).sin());
+    let (el, ep, epl) = (
+        Complex::cis(lambda),
+        Complex::cis(phi),
+        Complex::cis(phi + lambda),
+    );
+    let i = Complex::I;
+    [
+        [
+            Complex::from_real(-0.5 * s),
+            -(el * (0.5 * c)),
+            ep * (0.5 * c),
+            epl * (-0.5 * s),
+        ],
+        [Complex::ZERO, Complex::ZERO, i * ep * s, i * epl * c],
+        [Complex::ZERO, -(i * el * s), Complex::ZERO, i * epl * c],
+    ]
 }
 
 #[cfg(test)]
@@ -246,9 +366,13 @@ mod tests {
             let check = |obj: &mut AnsatzObjective, p: &[f64]| {
                 assert_eq!(obj.distance(p).to_bits(), reference(&a, p, &t), "{p:?}");
             };
+            let mut grad = vec![0.0; dim];
             for round in 0..100 {
                 check(&mut obj, &x);
-                // Adam: ±h central-difference probes, restored in place.
+                // Adam: a value, then the gradient at the same point.
+                let value = obj.distance_and_gradient(&x, &mut grad);
+                assert_eq!(value.to_bits(), reference(&a, &x, &t));
+                // Single-coordinate ±h probes, restored in place.
                 for i in 0..dim {
                     let xi = x[i];
                     x[i] = xi + 1e-5;
@@ -288,6 +412,107 @@ mod tests {
                 check(&mut obj, &x);
             }
         }
+    }
+
+    /// Central differences of `distance` with step `h`; categorical
+    /// slots are skipped (a probe may cross a decode boundary).
+    fn central_differences(obj: &mut AnsatzObjective, p: &[f64], h: f64) -> Vec<f64> {
+        let mut x = p.to_vec();
+        (0..p.len())
+            .map(|i| {
+                if is_categorical(i) {
+                    return 0.0;
+                }
+                x[i] = p[i] + h;
+                let plus = obj.distance(&x);
+                x[i] = p[i] - h;
+                let minus = obj.distance(&x);
+                x[i] = p[i];
+                (plus - minus) / (2.0 * h)
+            })
+            .collect()
+    }
+
+    /// Checks one point: value bits equal to `distance` and the dense
+    /// reference, angle partials within 1e-6 of central differences,
+    /// categorical partials exactly 0.
+    fn check_gradient(obj: &mut AnsatzObjective, a: &Ansatz, t: &CMatrix, p: &[f64]) {
+        let mut grad = vec![f64::NAN; p.len()];
+        let value = obj.distance_and_gradient(p, &mut grad);
+        assert_eq!(value.to_bits(), reference(a, p, t), "{p:?}");
+        assert_eq!(value.to_bits(), obj.distance(p).to_bits());
+        let fd = central_differences(obj, p, 1e-6);
+        for (i, (g, d)) in grad.iter().zip(&fd).enumerate() {
+            if is_categorical(i) {
+                assert_eq!(*g, 0.0, "categorical slot {i}");
+            } else {
+                assert!(
+                    (g - d).abs() <= 1e-6,
+                    "slot {i}: adjoint {g}, fd {d}, {p:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_matches_central_differences_at_random_angles() {
+        let mut rng = StdRng::seed_from_u64(0x00ad_0017);
+        for layers in 1..=3 {
+            let a = Ansatz::new(layers);
+            let t = target(30 + layers as u64);
+            let mut obj = AnsatzObjective::new(a, &t);
+            for _ in 0..60 {
+                let p: Vec<f64> = (0..a.num_params())
+                    .map(|i| {
+                        if is_categorical(i) {
+                            rng.gen_range(0.0..4.0 - 1e-9)
+                        } else {
+                            rng.gen_range(0.0..TAU)
+                        }
+                    })
+                    .collect();
+                check_gradient(&mut obj, &a, &t, &p);
+            }
+        }
+    }
+
+    /// `θ ∈ {0, π, 2π}` zeroes one half of a U3 and takes the
+    /// kernel's zero-skip paths; the partials there are still exact.
+    #[test]
+    fn gradient_matches_central_differences_at_zero_skip_angles() {
+        let mut rng = StdRng::seed_from_u64(0x2e20);
+        for layers in 1..=3 {
+            let a = Ansatz::new(layers);
+            let t = target(40 + layers as u64);
+            let mut obj = AnsatzObjective::new(a, &t);
+            for theta in [0.0, PI, TAU] {
+                for _ in 0..10 {
+                    let p: Vec<f64> = (0..a.num_params())
+                        .map(|i| {
+                            // θ sits at offset 0, 3, 6 of each wall (i mod 10).
+                            if is_categorical(i) {
+                                rng.gen_range(0.0..4.0 - 1e-9)
+                            } else if i % 10 % 3 == 0 && rng.gen_bool(0.7) {
+                                theta
+                            } else {
+                                rng.gen_range(0.0..TAU)
+                            }
+                        })
+                        .collect();
+                    check_gradient(&mut obj, &a, &t, &p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_gradient_buffer_asks_for_the_value_only() {
+        let a = Ansatz::new(2);
+        let t = target(50);
+        let p: Vec<f64> = (0..a.num_params()).map(|i| 0.1 * i as f64).collect();
+        let mut obj = AnsatzObjective::new(a, &t);
+        let value = obj.distance_and_gradient(&p, &mut []);
+        assert_eq!(value.to_bits(), reference(&a, &p, &t));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use geyser_circuit::Gate;
 use geyser_num::{hilbert_schmidt_distance, CMatrix, Complex};
-use geyser_optimize::{adam, dual_annealing, AdamConfig, Bounds, DualAnnealingConfig};
+use geyser_optimize::{
+    adam, central_difference, dual_annealing, AdamConfig, Bounds, DualAnnealingConfig,
+};
 use geyser_sim::embed_gate;
 
 /// Pulses for a native four-qubit CCCZ (the Rydberg ladder costs two
@@ -155,9 +157,15 @@ pub fn try_compose_quad(
     let mut best = (global.fx, global.x);
     let mut evaluations = global.evaluations;
     if best.0 > epsilon {
-        // Same gradient refinement the three-qubit composer applies.
+        // The three-qubit composer's Adam refinement, on
+        // central-difference gradients; every objective call counts.
+        let mut refine_calls = 0usize;
+        let counted = |p: &[f64]| {
+            refine_calls += 1;
+            objective(p)
+        };
         let refine = adam(
-            &objective,
+            central_difference(counted, &bounds),
             &bounds,
             &best.1,
             &AdamConfig {
@@ -166,7 +174,7 @@ pub fn try_compose_quad(
             }
             .with_target(epsilon * 0.5),
         );
-        evaluations += refine.evaluations;
+        evaluations += refine_calls;
         if refine.fx < best.0 {
             best = (refine.fx, refine.x);
         }

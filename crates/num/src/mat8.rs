@@ -2,9 +2,11 @@
 //!
 //! Block composition evaluates millions of 8×8 unitaries per compile.
 //! [`Mat8`] holds one on the stack so that hot loops never touch the
-//! heap. Every operation here replays the loop order and zero-skips of
-//! its [`CMatrix`] counterpart, so results are bit-identical to the
-//! dense path (signed zeros included) for finite inputs.
+//! heap. Every operation on the value path replays the loop order and
+//! zero-skips of its [`CMatrix`] counterpart, so results are
+//! bit-identical to the dense path (signed zeros included) for finite
+//! inputs. [`Mat8::diag_mul`] and [`Mat8::dagger`] serve only the
+//! composition gradient, which has no dense reference to match.
 
 use crate::metrics::distance_from_inner;
 use crate::{CMatrix, Complex};
@@ -118,6 +120,32 @@ impl Mat8 {
         out
     }
 
+    /// Product `diag(d) · self`: row `r` scaled by `d[r]`.
+    pub fn diag_mul(&self, d: &[Complex; 8]) -> Mat8 {
+        let mut out = Mat8::ZERO;
+        for (i, (o, w)) in out.0.iter_mut().zip(&self.0).enumerate() {
+            *o = d[i / 8] * *w;
+        }
+        out
+    }
+
+    /// Conjugate transpose `self†`.
+    pub fn dagger(&self) -> Mat8 {
+        let mut out = Mat8::ZERO;
+        for r in 0..8 {
+            for c in 0..8 {
+                out.0[c * 8 + r] = self.0[r * 8 + c].conj();
+            }
+        }
+        out
+    }
+
+    /// Entry at row `r`, column `c`.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> Complex {
+        self.0[r * 8 + c]
+    }
+
     /// Hilbert–Schmidt inner product `Tr(self† · other)`, folded from
     /// `ZERO` in row-major order like [`crate::hilbert_schmidt_inner`].
     pub fn hilbert_schmidt_inner(&self, other: &Mat8) -> Complex {
@@ -223,6 +251,22 @@ mod tests {
             });
             let dense = a.to_cmatrix().matmul(&CMatrix::from_diagonal(&d));
             assert_eq!(bits(&a.mul_diag(&d).to_cmatrix()), bits(&dense));
+        }
+    }
+
+    #[test]
+    fn diag_mul_and_dagger_match_dense() {
+        let mut e = Entries(13);
+        for _ in 0..100 {
+            let a = e.mat8();
+            let d: [Complex; 8] = std::array::from_fn(|_| e.complex());
+            let dense = CMatrix::from_diagonal(&d).matmul(&a.to_cmatrix());
+            assert!(a.diag_mul(&d).to_cmatrix().approx_eq(&dense, 1e-15));
+            assert_eq!(
+                bits(&a.dagger().to_cmatrix()),
+                bits(&a.to_cmatrix().dagger())
+            );
+            assert_eq!(a.get(2, 5), a.to_cmatrix()[(2, 5)]);
         }
     }
 

@@ -188,8 +188,8 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 /// let res = dual_annealing(&rosenbrock, &bounds, &DualAnnealingConfig::default().with_seed(3));
 /// assert!(res.fx < 1e-5);
 /// ```
-pub fn dual_annealing<F: Fn(&[f64]) -> f64>(
-    f: &F,
+pub fn dual_annealing<F: FnMut(&[f64]) -> f64>(
+    mut f: F,
     bounds: &Bounds,
     cfg: &DualAnnealingConfig,
 ) -> OptimizeResult {
@@ -209,7 +209,7 @@ pub fn dual_annealing<F: Fn(&[f64]) -> f64>(
 
     let mut evaluations = 0usize;
     let mut accepted = 0usize;
-    let eval = |x: &[f64], evals: &mut usize| -> f64 {
+    let mut eval = |x: &[f64], evals: &mut usize| -> f64 {
         *evals += 1;
         f(x)
     };
@@ -313,7 +313,7 @@ pub fn dual_annealing<F: Fn(&[f64]) -> f64>(
             max_evaluations: (cfg.max_evaluations.saturating_sub(evaluations)).min(400 * dim),
             ..NelderMeadConfig::default()
         };
-        let polished = nelder_mead(f, bounds, &best, &nm_cfg);
+        let polished = nelder_mead(&mut f, bounds, &best, &nm_cfg);
         evaluations += polished.evaluations;
         if polished.fx < best_f {
             best = polished.x;

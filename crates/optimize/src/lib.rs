@@ -12,6 +12,8 @@
 //!   Xiang et al.'s dual annealing.
 //! * [`nelder_mead`] — bounded Nelder–Mead simplex search, used both
 //!   as the polish phase and standalone.
+//! * [`adam`] — bounded Adam descent on a value-and-gradient objective;
+//!   [`central_difference`] adapts a value-only one.
 //!
 //! # Example
 //!
@@ -40,7 +42,7 @@ pub use anneal::{dual_annealing, DualAnnealingConfig};
 pub use bounds::Bounds;
 pub use cancel::CancelToken;
 pub use deadline::Deadline;
-pub use gradient::{adam, AdamConfig};
+pub use gradient::{adam, central_difference, AdamConfig};
 pub use neldermead::{nelder_mead, NelderMeadConfig};
 
 /// Outcome of an optimization run.

@@ -46,8 +46,8 @@ impl Default for NelderMeadConfig {
 /// let res = nelder_mead(&f, &bounds, &[0.0, 0.0], &NelderMeadConfig::default());
 /// assert!(res.fx < 1e-9);
 /// ```
-pub fn nelder_mead<F: Fn(&[f64]) -> f64>(
-    f: &F,
+pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
+    mut f: F,
     bounds: &Bounds,
     x0: &[f64],
     cfg: &NelderMeadConfig,
@@ -56,7 +56,7 @@ pub fn nelder_mead<F: Fn(&[f64]) -> f64>(
     assert_eq!(x0.len(), dim, "starting point dimension mismatch");
 
     let mut evaluations = 0usize;
-    let eval = |x: &mut Vec<f64>, evals: &mut usize| -> f64 {
+    let mut eval = |x: &mut Vec<f64>, evals: &mut usize| -> f64 {
         bounds.clamp(x);
         *evals += 1;
         f(x)
