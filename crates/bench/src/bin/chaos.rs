@@ -20,30 +20,12 @@
 //! 5. every surviving store file parses or was quarantined to a
 //!    `.corrupt-<digest>` sidecar.
 //!
-//! After the fault campaigns, a compact **serve leg** replays a seeded
-//! overload storm against the supervisor's service layer (admission
-//! control, tenant fairness, single-flight dedup, load shedding) and
-//! holds it to four more invariants:
-//!
-//! 6. every submission resolves to a recognized terminal outcome;
-//! 7. every shed carries a typed rejection reason;
-//! 8. sampled dedup-served results are bit-identical to solo compiles;
-//! 9. no bystander tenant's p99 exceeds 3× its fair-share baseline
-//!    while another tenant floods.
-//!
-//! Then twelve **restart legs** kill a journaled serve incarnation at
-//! seeded points (`kill-mid-journal-append`, `torn-journal-tail`,
-//! `kill-mid-compaction`), recover from the surviving write-ahead
-//! journal, and diff the completed-job set against an uninjected
-//! reference, plus a **cache leg** that crashes a shared-cache
+//! After the fault campaigns, a **cache leg** crashes a shared-cache
 //! compaction mid-commit and audits generation coherence:
 //!
-//! 10. no journal-acknowledged job is lost across a kill → recover;
-//! 11. recovery is exactly-once: settled outcomes replay from the
-//!     journal (bit-identical digests), never re-execute;
-//! 12. the shared cache's generation state is coherent at every
-//!     observable point — a crashed compaction leaves old or new,
-//!     never a mix.
+//! 6. the shared cache's generation state is coherent at every
+//!    observable point — a crashed compaction leaves old or new,
+//!    never a mix.
 //!
 //! Finally a **reuse leg** seeds a composition-reuse store with a
 //! structured (fixed-angle QAOA) compile, rewrites the cached
@@ -51,11 +33,11 @@
 //! whose frames and schema still verify), and recompiles twice — once
 //! clean, once under the composed `--inject` spec:
 //!
-//! 13. every replayed composition is re-verified against ε and the
-//!     compiled circuit passes the equivalence oracle — the clean
-//!     recompile must bounce every doctored entry off the ε gate,
-//!     and a planted `reuse-poison,reuse-skip-verify` fault must be
-//!     caught by the nonzero `unverified_replays` counter (exit 5).
+//! 7. every replayed composition is re-verified against ε and the
+//!    compiled circuit passes the equivalence oracle — the clean
+//!    recompile must bounce every doctored entry off the ε gate, and
+//!    a planted `reuse-poison,reuse-skip-verify` fault must be caught
+//!    by the nonzero `unverified_replays` counter (exit 5).
 //!
 //! The whole run is a pure function of `--seed`: the same seed and
 //! campaign count replay the same schedules, job outcomes, and
@@ -68,12 +50,10 @@
 //! when every invariant held, or prints each violation and exits
 //! [`exit_codes::CHAOS_INVARIANT`].
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use geyser::store::{is_corrupt_sidecar, read_record_file, walk_files, write_record_atomic};
 use geyser::{splitmix64, verify_compiled, FaultInjector, PassManager, Technique, Telemetry};
-use geyser_bench::serve::{run_serve, ServeScorecard};
 use geyser_bench::{
     exit_codes, report_json, scan_generation, Cli, SharedCache, CACHE_LOCK_STALE_MS,
 };
@@ -81,23 +61,18 @@ use geyser_circuit::Circuit;
 use geyser_compose::Ansatz;
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, ReuseStats};
 use geyser_supervisor::{
-    load_checkpoint, load_journal_events, run_supervised_compile, CheckpointError, JobSpec,
-    JobState, RetryPolicy, SupervisedCompileOptions, Supervisor, SupervisorConfig, WatchdogConfig,
+    load_checkpoint, run_supervised_compile, CheckpointError, JobSpec, JobState, RetryPolicy,
+    SupervisedCompileOptions, Supervisor, SupervisorConfig, WatchdogConfig,
 };
 use geyser_verify::{
-    check_cache_generation, check_campaign_jobs, check_recovery, check_reuse, check_store_scan,
+    check_cache_generation, check_campaign_jobs, check_reuse, check_store_scan,
     CacheGenerationObservation, ChaosInvariant, InvariantViolation, JobObservation,
-    RecoveryJobObservation, ReuseObservation, StoreFileObservation, StoreFileStatus, VerifyConfig,
+    ReuseObservation, StoreFileObservation, StoreFileStatus, VerifyConfig,
 };
 use serde::Serialize;
 
 /// Where campaign workdirs (checkpoints, quarantine sidecars) live.
 const CHAOS_ROOT: &str = ".geyser-chaos";
-
-/// Fixed number of kill → recover restart campaigns. Each derives its
-/// own seed from the master seed, so the same `--seed` replays the
-/// same kills against the same schedules.
-const RESTART_CAMPAIGNS: usize = 12;
 
 /// Deterministic per-campaign generator: chained [`splitmix64`]
 /// outputs.
@@ -185,24 +160,7 @@ struct CampaignCard {
     violations: Vec<InvariantViolation>,
 }
 
-/// One kill → recover restart campaign diffed against its uninjected
-/// reference (invariants 10–11: `no-acked-job-lost`,
-/// `recovery-exactly-once`).
-#[derive(Serialize)]
-struct RestartCard {
-    index: usize,
-    seed: u64,
-    /// The journal fault injected into the wounded incarnation.
-    inject: String,
-    /// Jobs the surviving journal acknowledged before the kill.
-    acked: u64,
-    /// Settled outcomes the recovery replayed verbatim.
-    recovered_settled: u64,
-    jobs: Vec<RecoveryJobObservation>,
-    violations: Vec<InvariantViolation>,
-}
-
-/// The shared-cache crash-coherence leg (invariant 12:
+/// The shared-cache crash-coherence leg (invariant 6:
 /// `cache-generation-coherent`): a compaction killed mid-commit must
 /// leave the old generation the readable truth, and a later takeover
 /// must converge to a coherent new one.
@@ -217,7 +175,7 @@ struct CacheLegCard {
     violations: Vec<InvariantViolation>,
 }
 
-/// The composition-reuse leg (invariant 13: `reuse-verified`): a
+/// The composition-reuse leg (invariant 7: `reuse-verified`): a
 /// doctored store's bogus composed entries must bounce off the ε
 /// re-verification gate on a clean recompile, and escape — tripping
 /// the invariant — only under the injected `reuse-skip-verify` fault.
@@ -243,13 +201,9 @@ struct ReuseLegCard {
 struct Scorecard {
     seed: u64,
     campaigns: Vec<CampaignCard>,
-    /// The service-layer overload leg (invariants 6–9).
-    serve: ServeScorecard,
-    /// The kill → recover restart legs (invariants 10–11).
-    restart: Vec<RestartCard>,
-    /// The shared-cache crash-coherence leg (invariant 12).
+    /// The shared-cache crash-coherence leg (invariant 6).
     cache: CacheLegCard,
-    /// The composition-reuse leg (invariant 13).
+    /// The composition-reuse leg (invariant 7).
     reuse: ReuseLegCard,
     total_jobs: u64,
     hang_preemptions: u64,
@@ -489,119 +443,6 @@ fn run_campaign(
     }
 }
 
-/// Runs one restart campaign: an uninjected reference run, a journaled
-/// incarnation wounded by one of the three journal faults, and a
-/// `--recover` incarnation over the surviving journal, diffed job for
-/// job. `--no-shed` mode makes the completed set schedule-determined,
-/// so recovery must reproduce the reference's ids *and* digests
-/// exactly.
-fn run_restart_campaign(cli: &Cli, index: usize, master_seed: u64) -> RestartCard {
-    let seed = splitmix64(
-        master_seed ^ 0x6a09_e667_f3bc_c908 ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
-    let workdir = PathBuf::from(CHAOS_ROOT).join(format!("restart-{index}"));
-    let _ = std::fs::remove_dir_all(&workdir);
-    std::fs::create_dir_all(&workdir).expect("create restart workdir");
-    let journal = workdir.join("serve.journal");
-
-    let mut base = cli.clone();
-    base.seed = seed;
-    base.arrivals = 36;
-    base.tenants = 2;
-    base.workloads = vec!["vqe-4".into()];
-    base.no_shed = true;
-    base.journal = None;
-    base.recover = false;
-    base.inject = None;
-
-    let reference = run_serve(&base);
-
-    // Rotate through the three journal faults; the kill point is
-    // seeded so the 12 campaigns tear the log at a spread of depths.
-    let kill_at = 5 + (seed % 59) as usize;
-    let inject = match index % 3 {
-        0 => format!("kill-mid-journal-append:{kill_at}"),
-        1 => "torn-journal-tail".to_string(),
-        _ => "kill-mid-compaction".to_string(),
-    };
-    let mut wounded = base.clone();
-    wounded.journal = Some(journal.to_string_lossy().into_owned());
-    wounded.inject = Some(inject.clone());
-    let _ = run_serve(&wounded);
-
-    // What the crashed journal acknowledged, read through the same
-    // scanner recovery uses (torn tails tolerated, mid-file
-    // corruption is not).
-    let (events, _torn_bytes) =
-        load_journal_events(&journal).expect("a crashed journal must still scan");
-    let mut acked: BTreeSet<u64> = BTreeSet::new();
-    for ev in &events {
-        if ev.kind != "snapshot" && ev.id != u64::MAX {
-            acked.insert(ev.id);
-        }
-    }
-
-    let mut recovering = base.clone();
-    recovering.journal = wounded.journal.clone();
-    recovering.recover = true;
-    let recovered = run_serve(&recovering);
-
-    let ref_digests: BTreeMap<u64, u64> = reference
-        .completions
-        .iter()
-        .map(|c| (c.id, c.digest))
-        .collect();
-    let rec_digests: BTreeMap<u64, u64> = recovered
-        .completions
-        .iter()
-        .map(|c| (c.id, c.digest))
-        .collect();
-    let mut reruns: BTreeMap<u64, u64> = BTreeMap::new();
-    for id in &recovered.settled_reruns {
-        *reruns.entry(*id).or_insert(0) += 1;
-    }
-    let settled_ids: BTreeSet<u64> = recovered.jobs.iter().map(|j| j.id).collect();
-
-    let jobs: Vec<RecoveryJobObservation> = (0..reference.arrivals)
-        .map(|id| RecoveryJobObservation {
-            id,
-            acked: acked.contains(&id),
-            settled: settled_ids.contains(&id),
-            runs_after_settle: reruns.get(&id).copied().unwrap_or(0),
-            digest_matches_reference: rec_digests
-                .get(&id)
-                .map(|d| ref_digests.get(&id) == Some(d)),
-        })
-        .collect();
-
-    let mut violations = check_recovery(&jobs);
-    // The recovery incarnation is also held to the serve-layer
-    // invariants (completeness, typed sheds, dedup bit-identity).
-    violations.extend(recovered.violations.clone());
-    // The completed set must not merely be consistent — it must be
-    // the reference set. Any reference job missing from recovery is a
-    // lost job even if the journal never acknowledged it (no-shed
-    // schedules complete everything).
-    for id in ref_digests.keys() {
-        if !rec_digests.contains_key(id) {
-            violations.push(InvariantViolation::new(
-                geyser_verify::ChaosInvariant::NoAckedJobLost,
-                format!("job {id} completed in the reference but not after recovery"),
-            ));
-        }
-    }
-
-    RestartCard {
-        index,
-        seed,
-        inject,
-        acked: acked.len() as u64,
-        recovered_settled: recovered.recovered_settled,
-        jobs,
-        violations,
-    }
-}
-
 /// Runs the shared-cache crash-coherence leg: commit one generation,
 /// kill the next compaction mid-commit, audit the wreckage in place,
 /// then let a fresh process sweep, take over the stale lock, and
@@ -691,7 +532,7 @@ fn observe_reuse(stats: &ReuseStats, verified_equivalent: Option<bool>) -> Reuse
 /// compile, doctor the cached negative entries into bogus composed
 /// records, then recompile clean (the ε gate must bounce every bogus
 /// replay) and once more under the composed `--inject` spec (a
-/// planted `reuse-poison,reuse-skip-verify` must trip invariant 13).
+/// planted `reuse-poison,reuse-skip-verify` must trip invariant 7).
 fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
     let seed = splitmix64(cli.seed ^ 0x5eed_5eed_5eed_5eed);
     let workdir = PathBuf::from(CHAOS_ROOT).join("reuse");
@@ -752,7 +593,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
 
     // Faulted recompile: the composed `--inject` spec is applied to
     // the same store. With `reuse-poison,reuse-skip-verify` planted,
-    // the doctored entries escape unverified and invariant 13 trips.
+    // the doctored entries escape unverified and invariant 7 trips.
     let faults = match cli.inject.as_deref() {
         Some(spec) => FaultInjector::parse(spec).expect("validated in main"),
         None => FaultInjector::none(),
@@ -802,42 +643,6 @@ fn main() {
         campaigns.push(card);
     }
 
-    // Service-layer leg: one compact seeded overload storm against the
-    // admission/fairness/dedup layer. A single cheap workload keeps
-    // the compile memo small — the leg stresses the service state
-    // machine, not the pipeline.
-    let mut serve_cli = cli.clone();
-    serve_cli.seed = splitmix64(cli.seed ^ 0xc0ff_ee00_c0ff_ee00);
-    serve_cli.arrivals = 240;
-    serve_cli.tenants = 3;
-    serve_cli.workloads = vec!["vqe-4".into()];
-    let serve = run_serve(&serve_cli);
-    println!(
-        "serve leg: seed={:016x} arrivals={} shed={} degraded={} dedup={} violations={}",
-        serve.seed,
-        serve.arrivals,
-        serve.service.shed,
-        serve.service.degraded,
-        serve.service.dedup_attached,
-        serve.violations.len()
-    );
-
-    // Restart legs: kill a journaled serve incarnation at a seeded
-    // point, recover, and demand the reference completed set back.
-    let mut restart = Vec::new();
-    for index in 0..RESTART_CAMPAIGNS {
-        let card = run_restart_campaign(&cli, index, cli.seed);
-        println!(
-            "restart {index:>2}: seed={:016x} inject='{}' acked={} replayed={} violations={}",
-            card.seed,
-            card.inject,
-            card.acked,
-            card.recovered_settled,
-            card.violations.len()
-        );
-        restart.push(card);
-    }
-
     // Shared-cache crash-coherence leg.
     let cache = run_cache_leg(&cli);
     println!(
@@ -862,14 +667,10 @@ fn main() {
 
     let total_jobs: u64 = campaigns.iter().map(|c| c.submitted).sum();
     let violations_total: usize = campaigns.iter().map(|c| c.violations.len()).sum::<usize>()
-        + serve.violations.len()
-        + restart.iter().map(|c| c.violations.len()).sum::<usize>()
         + cache.violations.len()
         + reuse.violations.len();
     let scorecard = Scorecard {
         seed: cli.seed,
-        serve,
-        restart,
         cache,
         reuse,
         total_jobs,
@@ -908,17 +709,6 @@ fn main() {
             for v in &card.violations {
                 eprintln!(
                     "error: campaign {} (seed {:016x}, inject '{}'): {v}",
-                    card.index, card.seed, card.inject
-                );
-            }
-        }
-        for v in &scorecard.serve.violations {
-            eprintln!("error: serve leg (seed {:016x}): {v}", scorecard.serve.seed);
-        }
-        for card in &scorecard.restart {
-            for v in &card.violations {
-                eprintln!(
-                    "error: restart {} (seed {:016x}, inject '{}'): {v}",
                     card.index, card.seed, card.inject
                 );
             }

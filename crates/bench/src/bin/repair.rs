@@ -12,14 +12,11 @@
 //!   checkpoints, and the cross-job reuse store under `reuse/`).
 //! * `--prune` — additionally reclaim debris: delete quarantine
 //!   sidecars, stale `.tmp` files from interrupted writes, and cache
-//!   entries whose schema version is stale (guaranteed misses), and
-//!   truncate the torn tail a killed writer left on a write-ahead
-//!   journal (the same truncation recovery performs on open; bytes
-//!   reclaimed are reported per journal). Sidecars the scan *keeps* —
-//!   every sidecar without `--prune`, plus any whose removal failed —
-//!   are reported with their on-disk size and age, so operators can
-//!   see how much quarantine evidence is accumulating before deciding
-//!   to reclaim it. Reuse-store entries whose hardware digest or
+//!   entries whose schema version is stale (guaranteed misses).
+//!   Sidecars the scan *keeps* — every sidecar without `--prune`,
+//!   plus any whose removal failed — are reported with their on-disk
+//!   size and age, so operators can see how much quarantine evidence
+//!   is accumulating before deciding to reclaim it. Reuse-store entries whose hardware digest or
 //!   composition-config hash no longer matches the machine being
 //!   repaired (see `--hardware`) are stale — guaranteed skips for
 //!   this machine — and are likewise reclaimed only under `--prune`,
@@ -33,15 +30,13 @@
 //! Classification mirrors the loaders exactly: every file goes through
 //! the store protocol's validated loader with its store's own schema
 //! check — `ckpt-*` files the checkpoint parse, `reuse-*.json` the
-//! reuse parse, `*.journal` files the journal decode (a torn tail is
-//! reclaimable, mid-file corruption is not), the shared cache's
-//! `generation` header the frame check alone, and everything else
-//! `.json` the cache schema — so `repair` can never disagree with the
-//! pipeline about what is loadable. A `compaction.lock` is reported
-//! but never touched — only a compactor may judge it stale. Corrupt
-//! files are moved aside under the same sidecar name, structured
-//! warning (path + digest) and `store_corrupt_total` accounting the
-//! runtime uses.
+//! reuse parse, the shared cache's `generation` header the frame
+//! check alone, and everything else `.json` the cache schema — so
+//! `repair` can never disagree with the pipeline about what is
+//! loadable. A `compaction.lock` is reported but never touched — only
+//! a compactor may judge it stale. Corrupt files are moved aside
+//! under the same sidecar name, structured warning (path + digest)
+//! and `store_corrupt_total` accounting the runtime uses.
 //!
 //! Exits 0 when every surviving file is healthy or safely
 //! quarantined, [`exit_codes::FAILURES`] when a corrupt file could
@@ -51,8 +46,7 @@
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    is_corrupt_sidecar, is_tmp, load_quarantining, load_record_quarantining, truncate_torn_tail,
-    walk_files, RecordPayload, StoreReadError,
+    is_corrupt_sidecar, is_tmp, load_record_quarantining, walk_files, RecordPayload, StoreReadError,
 };
 use geyser::{HardwareSpec, PipelineConfig, Telemetry};
 use geyser_bench::{
@@ -60,7 +54,7 @@ use geyser_bench::{
     CACHE_GENERATION_FILE,
 };
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, reuse_config_hash};
-use geyser_supervisor::{decode_journal, parse_checkpoint};
+use geyser_supervisor::parse_checkpoint;
 use serde::Serialize;
 
 /// What the scan decided about one file.
@@ -74,11 +68,6 @@ enum FileStatus {
     Sidecar,
     /// A stray `.tmp` from an interrupted atomic write.
     StaleTmp,
-    /// A write-ahead job journal, every frame intact.
-    Journal,
-    /// A journal whose last frame is torn (killed writer); the tail
-    /// is reclaimable, everything before it replays.
-    JournalTorn,
     /// The shared cache's generation header, frame intact.
     GenerationHeader,
     /// A reuse-store entry bound to the current hardware/config.
@@ -107,8 +96,6 @@ impl FileStatus {
             FileStatus::StaleVersion => "stale-version",
             FileStatus::Sidecar => "sidecar",
             FileStatus::StaleTmp => "stale-tmp",
-            FileStatus::Journal => "journal",
-            FileStatus::JournalTorn => "journal-torn",
             FileStatus::GenerationHeader => "generation-header",
             FileStatus::ReuseEntry => "reuse-entry",
             FileStatus::ReuseStale => "reuse-stale",
@@ -125,8 +112,7 @@ impl FileStatus {
 struct FileReport {
     path: String,
     status: FileStatus,
-    /// Whether `--prune` deleted the file (or, for a torn journal,
-    /// truncated its tail).
+    /// Whether `--prune` deleted the file.
     pruned: bool,
     /// On-disk size, reported for quarantine sidecars and reuse-store
     /// entries (`null` otherwise).
@@ -135,12 +121,6 @@ struct FileReport {
     /// sidecars (`null` otherwise) — how long the evidence has been
     /// sitting there.
     age_secs: Option<u64>,
-    /// Torn-tail bytes on a journal: reclaimable without `--prune`,
-    /// reclaimed with it (`null` for non-journals).
-    torn_bytes: Option<u64>,
-    /// Intact events the journal scanner replayed (`null` for
-    /// non-journals).
-    journal_events: Option<u64>,
 }
 
 #[derive(Serialize)]
@@ -158,12 +138,6 @@ struct RepairReport {
     sidecar_bytes_total: u64,
     /// Age in seconds of the oldest kept sidecar (0 when none).
     sidecar_oldest_age_secs: u64,
-    /// Journals scanned (healthy or torn).
-    journals: usize,
-    /// Torn-tail bytes found across all journals.
-    journal_torn_bytes: u64,
-    /// Torn-tail bytes actually truncated away by `--prune`.
-    journal_bytes_reclaimed: u64,
     /// Reuse-store entries bound to the current hardware/config.
     reuse_entries: usize,
     /// Reuse-store entries bound elsewhere (guaranteed skips here).
@@ -273,25 +247,6 @@ fn sidecar_stats(path: &Path) -> (Option<u64>, Option<u64>) {
     (Some(meta.len()), age_secs)
 }
 
-/// What the scan learned about one file beyond its status.
-struct Scan {
-    status: FileStatus,
-    /// Torn-tail bytes (journals only).
-    torn_bytes: Option<u64>,
-    /// Intact events replayed (journals only).
-    journal_events: Option<u64>,
-}
-
-impl Scan {
-    fn plain(status: FileStatus) -> Scan {
-        Scan {
-            status,
-            torn_bytes: None,
-            journal_events: None,
-        }
-    }
-}
-
 /// The status of a file the store protocol's validated loader refused:
 /// quarantined when the rename aside succeeded, still in place when it
 /// did not, unreadable when it could not be read at all.
@@ -310,39 +265,22 @@ type SchemaCheck = fn(RecordPayload, &ReuseBinding) -> Result<FileStatus, String
 /// Classifies one store file, quarantining corruption exactly like
 /// the pipeline's own loaders would: every kind goes through the store
 /// protocol's validated loader with that store's own schema check.
-fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan {
+fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> FileStatus {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
     if is_corrupt_sidecar(path) {
-        return Scan::plain(FileStatus::Sidecar);
+        return FileStatus::Sidecar;
     }
     if is_tmp(path) {
-        return Scan::plain(FileStatus::StaleTmp);
+        return FileStatus::StaleTmp;
     }
     if name == CACHE_COMPACTION_LOCK {
-        return Scan::plain(FileStatus::Lock);
-    }
-    if name.ends_with(".journal") {
-        // Write-ahead job journal: a torn tail is a reclaimable kill
-        // artifact; mid-file corruption means the journal cannot be
-        // trusted and is quarantined whole.
-        return match load_quarantining(path, "journal", telemetry, decode_journal) {
-            Ok((events, torn_bytes)) => Scan {
-                status: if torn_bytes > 0 {
-                    FileStatus::JournalTorn
-                } else {
-                    FileStatus::Journal
-                },
-                torn_bytes: Some(torn_bytes),
-                journal_events: Some(events.len() as u64),
-            },
-            Err(e) => Scan::plain(refused(e)),
-        };
+        return FileStatus::Lock;
     }
     if name != CACHE_GENERATION_FILE && !name.ends_with(".json") {
-        return Scan::plain(FileStatus::Unknown);
+        return FileStatus::Unknown;
     }
     let (label, check): (&str, SchemaCheck) = if name == CACHE_GENERATION_FILE {
         // The shared cache's generation header: frame check only; the
@@ -376,8 +314,7 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> Scan
             }
         })
     };
-    let loaded = load_record_quarantining(path, label, telemetry, |p| check(p, binding));
-    Scan::plain(loaded.unwrap_or_else(refused))
+    load_record_quarantining(path, label, telemetry, |p| check(p, binding)).unwrap_or_else(refused)
 }
 
 fn main() {
@@ -405,10 +342,8 @@ fn main() {
     let paths = walk_files(&args.store).unwrap_or_default();
 
     let mut files = Vec::new();
-    let mut journal_bytes_reclaimed = 0u64;
     for path in &paths {
-        let scan = scan_file(path, &binding, &telemetry);
-        let status = scan.status;
+        let status = scan_file(path, &binding, &telemetry);
         // Quarantine evidence and reuse entries are sized (and aged,
         // for sidecars) *before* any prune so the report can say what
         // was reclaimed vs. what is still accumulating on disk.
@@ -420,9 +355,6 @@ fn main() {
         // Debris is only reclaimed on request: sidecars are evidence,
         // stale .tmp files are harmless, stale-version cache entries
         // and stale reuse entries are merely guaranteed misses/skips.
-        // A torn journal is not deleted but truncated — exactly what
-        // recovery's open would do — so the intact prefix stays
-        // replayable.
         let reclaimable = matches!(
             status,
             FileStatus::Sidecar
@@ -430,17 +362,7 @@ fn main() {
                 | FileStatus::StaleVersion
                 | FileStatus::ReuseStale
         );
-        let pruned = if args.prune && status == FileStatus::JournalTorn {
-            match truncate_torn_tail(path) {
-                Ok(reclaimed) => {
-                    journal_bytes_reclaimed += reclaimed;
-                    true
-                }
-                Err(_) => false,
-            }
-        } else {
-            args.prune && reclaimable && std::fs::remove_file(path).is_ok()
-        };
+        let pruned = args.prune && reclaimable && std::fs::remove_file(path).is_ok();
         // Quarantine renames the file, so report the original name —
         // relative to the store root so `objects/` shards stay
         // distinguishable.
@@ -452,23 +374,6 @@ fn main() {
             (FileStatus::Sidecar, Some(b), Some(age), false) => {
                 println!("{rel}: {} (kept, {b} bytes, {age}s old)", status.label());
             }
-            (FileStatus::Journal, _, _, _) => println!(
-                "{rel}: {} ({} event(s))",
-                status.label(),
-                scan.journal_events.unwrap_or(0)
-            ),
-            (FileStatus::JournalTorn, _, _, true) => println!(
-                "{rel}: {} ({} event(s) intact, {} torn byte(s) reclaimed)",
-                status.label(),
-                scan.journal_events.unwrap_or(0),
-                scan.torn_bytes.unwrap_or(0)
-            ),
-            (FileStatus::JournalTorn, _, _, false) => println!(
-                "{rel}: {} ({} event(s) intact, {} torn byte(s) reclaimable)",
-                status.label(),
-                scan.journal_events.unwrap_or(0),
-                scan.torn_bytes.unwrap_or(0)
-            ),
             _ => println!(
                 "{rel}: {}{}",
                 status.label(),
@@ -481,8 +386,6 @@ fn main() {
             pruned,
             bytes,
             age_secs,
-            torn_bytes: scan.torn_bytes,
-            journal_events: scan.journal_events,
         });
     }
 
@@ -538,12 +441,6 @@ fn main() {
         sidecars_kept,
         sidecar_bytes_total,
         sidecar_oldest_age_secs,
-        journals: files
-            .iter()
-            .filter(|f| matches!(f.status, FileStatus::Journal | FileStatus::JournalTorn))
-            .count(),
-        journal_torn_bytes: files.iter().filter_map(|f| f.torn_bytes).sum(),
-        journal_bytes_reclaimed,
         reuse_entries,
         reuse_stale,
         reuse_bytes_kept,
@@ -561,12 +458,6 @@ fn main() {
         println!(
             "repair: keeping {} quarantine sidecar(s), {} byte(s) total, oldest {}s",
             report.sidecars_kept, report.sidecar_bytes_total, report.sidecar_oldest_age_secs
-        );
-    }
-    if report.journals > 0 {
-        println!(
-            "repair: {} journal(s), {} torn byte(s) found, {} reclaimed",
-            report.journals, report.journal_torn_bytes, report.journal_bytes_reclaimed
         );
     }
     if report.reuse_entries + report.reuse_stale > 0 {

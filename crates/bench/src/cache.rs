@@ -7,8 +7,8 @@
 //! budget)` compilation as JSON under `.geyser-cache/` so the full
 //! figure suite compiles everything exactly once.
 //!
-//! The store is safe to share between concurrent processes (`serve`
-//! and `bench` runs pointed at the same directory):
+//! The store is safe to share between concurrent processes (bench
+//! runs pointed at the same directory):
 //!
 //! * Entries are **content-addressed**: each lives in its own file at
 //!   `objects/<hh>/<digest:016x>.json`, written through the store
@@ -195,8 +195,8 @@ pub struct CompactionOutcome {
 /// Handle on a shared on-disk compile cache rooted at one directory.
 ///
 /// Opening is cheap (one header read plus a stale-temp sweep) and safe
-/// to repeat; every `serve`/`bench` process opens its own handle on
-/// the same root.
+/// to repeat; every bench process opens its own handle on the same
+/// root.
 pub struct SharedCache {
     root: PathBuf,
     generation: u64,

@@ -73,24 +73,10 @@
 //!   `square-diagonal`, `near-term`) or a path to a spec JSON file
 //! * `--campaigns N` — campaign count for the `chaos` binary
 //!   (default 8)
-//! * `--arrivals N` — submission count for the `serve` binary's
-//!   seeded open-loop schedule (default 2000)
-//! * `--tenants N` — tenant count for the `serve` binary; tenant 0
-//!   floods during the storm phase (default 4, minimum 2)
 //! * `--watchdog-ms N` — arm the supervisor's hung-worker watchdog:
 //!   workers whose heartbeat goes stale for `N` ms are preempted and
 //!   the attempt is retyped as a retryable `WorkerHung` error;
 //!   implies the supervised runtime
-//! * `--journal PATH` — the `serve` binary appends every job
-//!   lifecycle decision (admitted, dispatched, completed, shed,
-//!   cancelled) to a write-ahead journal at `PATH`, so a killed
-//!   service can be restarted without losing acknowledged work
-//! * `--recover` — the `serve` binary replays the `--journal` file
-//!   before taking traffic: settled outcomes are taken verbatim,
-//!   acknowledged-but-incomplete jobs are re-admitted exactly once
-//! * `--no-shed` — restart-campaign mode for `serve`: no deadlines,
-//!   no shedding, no degraded tier, so kill → recover cycles can be
-//!   diffed against an uninjected reference job for job
 //!
 //! Exit codes are unified in [`exit_codes`].
 
@@ -99,8 +85,6 @@
 
 mod cache;
 pub mod exit_codes;
-pub mod serve;
-pub mod timing;
 
 use std::collections::BTreeMap;
 
@@ -189,31 +173,12 @@ pub struct Cli {
     pub specs: Vec<String>,
     /// Campaign count for the `chaos` binary (`--campaigns`).
     pub campaigns: usize,
-    /// Submission count for the `serve` binary (`--arrivals`).
-    pub arrivals: usize,
-    /// Tenant count for the `serve` binary (`--tenants`); tenant 0 is
-    /// the storm-phase flooder.
-    pub tenants: usize,
     /// Hung-worker watchdog timeout in milliseconds (`--watchdog-ms`);
     /// enables the supervisor's heartbeat watchdog, which preempts
     /// workers whose heartbeat goes stale and retypes the preemption
     /// as a retryable `WorkerHung` error. Implies the supervised
     /// runtime.
     pub watchdog_ms: Option<u64>,
-    /// Write-ahead job-journal path for the `serve` binary
-    /// (`--journal`); every admission/dispatch/settlement decision is
-    /// appended before it takes effect.
-    pub journal: Option<String>,
-    /// Replay the `--journal` file before taking traffic
-    /// (`--recover`): settled outcomes are honoured verbatim and
-    /// acknowledged-but-incomplete jobs re-admitted exactly once.
-    pub recover: bool,
-    /// Restart-campaign mode for the `serve` binary (`--no-shed`):
-    /// schedule without deadlines and policy without shedding or
-    /// degradation, so every arrival completes and a kill → recover
-    /// cycle can demand a completed-job set identical to an
-    /// uninjected reference.
-    pub no_shed: bool,
     /// The run's telemetry handle: disabled by default, enabled by
     /// [`Cli::parse`] when `--trace` or `--report` is given. Cloning
     /// shares the same buffers, so spans recorded anywhere in the
@@ -251,12 +216,7 @@ impl Default for Cli {
             noise_explicit: false,
             specs: Vec::new(),
             campaigns: 8,
-            arrivals: 2_000,
-            tenants: 4,
             watchdog_ms: None,
-            journal: None,
-            recover: false,
-            no_shed: false,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -351,14 +311,9 @@ impl Cli {
                     }
                 }
                 "--campaigns" => cli.campaigns = value("--campaigns").parse().expect("integer"),
-                "--arrivals" => cli.arrivals = value("--arrivals").parse().expect("integer"),
-                "--tenants" => cli.tenants = value("--tenants").parse().expect("integer"),
                 "--watchdog-ms" => {
                     cli.watchdog_ms = Some(value("--watchdog-ms").parse().expect("integer"))
                 }
-                "--journal" => cli.journal = Some(value("--journal")),
-                "--recover" => cli.recover = true,
-                "--no-shed" => cli.no_shed = true,
                 "--specs" => {
                     cli.specs = value("--specs")
                         .split(',')

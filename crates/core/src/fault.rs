@@ -49,19 +49,6 @@ pub struct FaultInjector {
     /// that only an end-to-end equivalence oracle can catch. Indices
     /// beyond the circuit inject nothing.
     pub miscompile_gates: Vec<usize>,
-    /// Kills the service harness while appending journal event number
-    /// `n` (0-based): the frame is written only partially, leaving the
-    /// torn tail a real `kill -9` mid-append would. Recovery must
-    /// truncate the tail and resume.
-    pub kill_mid_journal_append: Option<usize>,
-    /// Crashes the next store compaction (journal snapshot or shared
-    /// cache) after its temp file is written but *before* the commit
-    /// rename — the old generation must stay fully intact.
-    pub kill_mid_compaction: bool,
-    /// Tears the final journal frame after the run completes, so the
-    /// next recovery must truncate the tail and re-admit the event's
-    /// job exactly once.
-    pub torn_journal_tail: bool,
     /// Perturbs every `Composed` entry in the reuse index after it is
     /// loaded (a planted stale/poisoned store): the ε re-check must
     /// reject every poisoned replay, so the compile stays clean.
@@ -127,8 +114,8 @@ impl std::error::Error for FaultSpecError {}
 const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One splitmix64 draw — the workspace's standard dependency-free
-/// generator: fault plans, retry jitter and the chaos/serve schedules
-/// all draw from it.
+/// generator: fault plans, retry jitter and the chaos schedules all
+/// draw from it.
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -151,9 +138,6 @@ impl FaultInjector {
             && !self.corrupt_checkpoint
             && !self.force_compose_timeout
             && self.miscompile_gates.is_empty()
-            && self.kill_mid_journal_append.is_none()
-            && !self.kill_mid_compaction
-            && !self.torn_journal_tail
             && !self.reuse_poison
             && !self.reuse_skip_verify
             && self.compose.is_empty()
@@ -212,15 +196,6 @@ impl FaultInjector {
         for g in &self.miscompile_gates {
             tokens.push(format!("miscompile:{g}"));
         }
-        if let Some(n) = self.kill_mid_journal_append {
-            tokens.push(format!("kill-mid-journal-append:{n}"));
-        }
-        if self.kill_mid_compaction {
-            tokens.push("kill-mid-compaction".to_string());
-        }
-        if self.torn_journal_tail {
-            tokens.push("torn-journal-tail".to_string());
-        }
         if self.reuse_poison {
             tokens.push("reuse-poison".to_string());
         }
@@ -254,9 +229,6 @@ impl FaultInjector {
     /// | `checkpoint-corrupt` | checkpoint file truncated after writing |
     /// | `compose-timeout` | composition deadline forced expired |
     /// | `miscompile:<i>` | gate `i` of the final circuit silently corrupted |
-    /// | `kill-mid-journal-append:<n>` | harness killed mid-append of journal event `n` |
-    /// | `kill-mid-compaction` | next store compaction crashed before its commit rename |
-    /// | `torn-journal-tail` | final journal frame torn after the run |
     /// | `reuse-poison` | every loaded Composed reuse entry's params perturbed |
     /// | `reuse-skip-verify` | reuse replays skip the ε re-check (trusted blindly) |
     /// | `compose-corrupt:<i>` | block `i`'s winning candidate corrupted |
@@ -305,9 +277,6 @@ impl FaultInjector {
                 "checkpoint-corrupt" => plan.corrupt_checkpoint = true,
                 "compose-timeout" => plan.force_compose_timeout = true,
                 "miscompile" => plan.miscompile_gates.push(index("gate")?),
-                "kill-mid-journal-append" => plan.kill_mid_journal_append = Some(index("event")?),
-                "kill-mid-compaction" => plan.kill_mid_compaction = true,
-                "torn-journal-tail" => plan.torn_journal_tail = true,
                 "reuse-poison" => plan.reuse_poison = true,
                 "reuse-skip-verify" => plan.reuse_skip_verify = true,
                 "compose-corrupt" => plan.compose.corrupt_blocks.push(index("block")?),
@@ -347,15 +316,6 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(!FaultInjector::parse("miscompile:0").unwrap().is_empty());
-        assert!(!FaultInjector::parse("kill-mid-journal-append:0")
-            .unwrap()
-            .is_empty());
-        assert!(!FaultInjector::parse("kill-mid-compaction")
-            .unwrap()
-            .is_empty());
-        assert!(!FaultInjector::parse("torn-journal-tail")
-            .unwrap()
-            .is_empty());
         assert!(!FaultInjector::parse("reuse-poison").unwrap().is_empty());
         assert!(!FaultInjector::parse("reuse-skip-verify")
             .unwrap()
@@ -368,8 +328,7 @@ mod tests {
             "pass-panic:map, pass-panic-once:compose, hang-pass:block, \
              kill-after-block:2, checkpoint-corrupt, compose-timeout, \
              compose-corrupt:1, compose-panic:2, sim-nan:3, sim-nan-persistent:4, \
-             miscompile:5, kill-mid-journal-append:6, kill-mid-compaction, \
-             torn-journal-tail, reuse-poison, reuse-skip-verify",
+             miscompile:5, reuse-poison, reuse-skip-verify",
         )
         .unwrap();
         assert_eq!(plan.panic_passes, vec!["map".to_string()]);
@@ -383,9 +342,6 @@ mod tests {
         assert_eq!(plan.sim.nan_trajectories, vec![3]);
         assert_eq!(plan.sim.persistent_nan_trajectories, vec![4]);
         assert_eq!(plan.miscompile_gates, vec![5]);
-        assert_eq!(plan.kill_mid_journal_append, Some(6));
-        assert!(plan.kill_mid_compaction);
-        assert!(plan.torn_journal_tail);
         assert!(plan.reuse_poison);
         assert!(plan.reuse_skip_verify);
     }
@@ -417,6 +373,18 @@ mod tests {
         assert!(FaultInjector::parse("kill-after-block:soon").is_err());
         assert!(FaultInjector::parse("miscompile").is_err());
         assert!(FaultInjector::parse("miscompile:first").is_err());
+        // The write-ahead journal's fault tokens retired with it.
+        for retired in [
+            "kill-mid-journal-append:6",
+            "kill-mid-compaction",
+            "torn-journal-tail",
+        ] {
+            let kind = retired.split(':').next().unwrap().to_string();
+            assert_eq!(
+                FaultInjector::parse(retired),
+                Err(FaultSpecError::UnknownKind { kind })
+            );
+        }
     }
 
     #[test]
@@ -433,8 +401,7 @@ mod tests {
     fn spec_roundtrips_through_parse() {
         let spec = "pass-panic:map,pass-panic-once:compose,hang-pass:block,\
                     kill-after-block:2,checkpoint-corrupt,compose-timeout,\
-                    miscompile:5,kill-mid-journal-append:6,kill-mid-compaction,\
-                    torn-journal-tail,reuse-poison,reuse-skip-verify,\
+                    miscompile:5,reuse-poison,reuse-skip-verify,\
                     compose-corrupt:1,compose-panic:2,sim-nan:3,\
                     sim-nan-persistent:4";
         let plan = FaultInjector::parse(spec).unwrap();

@@ -41,7 +41,7 @@ impl PassReport {
 /// How the supervisor ran this job: retry, backoff, queue, breaker,
 /// and checkpoint-resume accounting. Absent (`None`) for unsupervised
 /// runs, so plain pipeline reports are unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SupervisionStats {
     /// Pipeline attempts consumed, including the final one (1 = no
     /// retries were needed).
@@ -63,49 +63,6 @@ pub struct SupervisionStats {
     /// Attempts the watchdog preempted because the worker's heartbeat
     /// went stale (each surfaces as a retryable `WorkerHung`).
     pub hang_preemptions: u64,
-    /// Tenant the job was billed to (empty when the supervisor ran
-    /// without the multi-tenant service layer).
-    pub tenant: String,
-    /// Whether the service layer downgraded this job to the cheaper
-    /// degraded configuration because the system was overloaded when
-    /// it was admitted.
-    pub degraded: bool,
-    /// Whether this result was served by single-flight deduplication
-    /// (attached to another job's in-flight compile instead of
-    /// compiling again).
-    pub deduped: bool,
-}
-
-// Hand-written so reports filed before the service layer existed
-// still load (the derive rejects missing fields): absent
-// `tenant`/`degraded`/`deduped` keys deserialize to their defaults.
-impl serde::Deserialize for SupervisionStats {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn or_default<T: serde::Deserialize + Default>(
-            value: &serde::Value,
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match value.get_field(name) {
-                Ok(v) => serde::Deserialize::from_value(v),
-                Err(_) => Ok(T::default()),
-            }
-        }
-        Ok(SupervisionStats {
-            attempts: serde::Deserialize::from_value(value.get_field("attempts")?)?,
-            retries: serde::Deserialize::from_value(value.get_field("retries")?)?,
-            backoff_ms: serde::Deserialize::from_value(value.get_field("backoff_ms")?)?,
-            queue_depth: serde::Deserialize::from_value(value.get_field("queue_depth")?)?,
-            breaker_state: serde::Deserialize::from_value(value.get_field("breaker_state")?)?,
-            blocks_resumed: serde::Deserialize::from_value(value.get_field("blocks_resumed")?)?,
-            resumed_from_checkpoint: serde::Deserialize::from_value(
-                value.get_field("resumed_from_checkpoint")?,
-            )?,
-            hang_preemptions: serde::Deserialize::from_value(value.get_field("hang_preemptions")?)?,
-            tenant: or_default(value, "tenant")?,
-            degraded: or_default(value, "degraded")?,
-            deduped: or_default(value, "deduped")?,
-        })
-    }
 }
 
 /// What the equivalence oracle measured for one compiled circuit.
@@ -361,9 +318,6 @@ mod tests {
             blocks_resumed: 4,
             resumed_from_checkpoint: true,
             hang_preemptions: 1,
-            tenant: "acme".into(),
-            degraded: true,
-            deduped: false,
         });
         let json = r.to_json();
         assert!(json.contains("\"supervision\""));
@@ -374,9 +328,6 @@ mod tests {
         assert_eq!(s.retries, 2);
         assert!(s.resumed_from_checkpoint);
         assert_eq!(s.hang_preemptions, 1);
-        assert_eq!(s.tenant, "acme");
-        assert!(s.degraded);
-        assert!(!s.deduped);
     }
 
     #[test]
@@ -421,18 +372,30 @@ mod tests {
 
     #[test]
     fn pre_service_supervision_stats_still_deserialize() {
-        // SupervisionStats JSON written before the service layer lacks
-        // the tenant/degraded/deduped keys; the serde defaults must
-        // fill them in instead of failing the parse.
-        let legacy = r#"{
+        // SupervisionStats JSON from both earlier eras must still load:
+        // reports written before the multi-tenant service layer existed
+        // (no tenant/degraded/deduped keys), and reports written while
+        // it did (the keys present). The derive ignores keys it does
+        // not declare.
+        let pre_service = r#"{
             "attempts": 1, "retries": 0, "backoff_ms": 0,
             "queue_depth": 0, "breaker_state": "closed",
             "blocks_resumed": 0, "resumed_from_checkpoint": false,
             "hang_preemptions": 0
         }"#;
-        let s: SupervisionStats = serde_json::from_str(legacy).unwrap();
-        assert_eq!(s.tenant, "");
-        assert!(!s.degraded);
-        assert!(!s.deduped);
+        let s: SupervisionStats = serde_json::from_str(pre_service).unwrap();
+        assert_eq!(s.attempts, 1);
+        assert_eq!(s.breaker_state, "closed");
+        let with_service_keys = r#"{
+            "attempts": 2, "retries": 1, "backoff_ms": 3,
+            "queue_depth": 0, "breaker_state": "closed",
+            "blocks_resumed": 0, "resumed_from_checkpoint": false,
+            "hang_preemptions": 0,
+            "tenant": "acme", "degraded": true, "deduped": false
+        }"#;
+        let s: SupervisionStats = serde_json::from_str(with_service_keys).unwrap();
+        assert_eq!(s.attempts, 2);
+        assert_eq!(s.retries, 1);
+        assert_eq!(s.backoff_ms, 3);
     }
 }

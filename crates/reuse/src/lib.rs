@@ -20,8 +20,8 @@
 //! * [`persist`] — the cross-job reuse store: per-entry digest-keyed
 //!   `reuse-*.json` files on the crash-safe `GEYSREC1` record layer
 //!   (atomic writes, corrupt-entry quarantine, stale-digest
-//!   filtering), so a process pool amortizes compositions across
-//!   tenants the way single-flight dedup amortizes identical jobs.
+//!   filtering), so compositions are amortized across jobs and
+//!   processes.
 //!
 //! Every key binds the fingerprint to the hardware digest and a
 //! composition-config hash: a reuse entry never crosses machines or

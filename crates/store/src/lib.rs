@@ -1,8 +1,8 @@
 //! The one store-file protocol shared by every persistent store (the
-//! bench compile cache, the supervisor's composition checkpoints and
-//! job journal, the cross-job composition reuse store, and the
-//! verifier's quarantine corpus): how a file is staged, committed,
-//! read, validated, quarantined and found.
+//! bench compile cache, the supervisor's composition checkpoints, the
+//! cross-job composition reuse store, and the verifier's quarantine
+//! corpus): how a file is staged, committed, read, validated,
+//! quarantined and found.
 //!
 //! * **Writes** are staged to a temp sibling whose name is unique per
 //!   write (`<name>.<pid>-<n>.tmp`, see [`stage_write`]) and committed
@@ -70,7 +70,6 @@ pub fn store_corrupt_kind_counter(label: &str) -> &'static str {
     match label {
         "cache" => "store_corrupt_total.cache",
         "checkpoint" => "store_corrupt_total.checkpoint",
-        "journal" => "store_corrupt_total.journal",
         "reuse" => "store_corrupt_total.reuse",
         _ => "store_corrupt_total.other",
     }
@@ -215,150 +214,6 @@ pub fn decode_record(bytes: &[u8]) -> Result<RecordPayload, RecordError> {
     String::from_utf8(payload.to_vec())
         .map(RecordPayload::Framed)
         .map_err(|_| RecordError::BadPayload)
-}
-
-/// A decoded segmented (multi-frame) record file: zero or more fully
-/// verified frames, plus an optional torn tail left by a crash
-/// mid-append.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentedPayloads {
-    /// Payloads of the frames that fully verified, in file order.
-    pub records: Vec<String>,
-    /// Byte length of the valid prefix (everything before the torn
-    /// tail). Truncating the file to this length recovers it.
-    pub valid_len: u64,
-    /// Bytes in the torn tail after the valid prefix; `0` when the
-    /// file ends exactly at a frame boundary.
-    pub torn_bytes: u64,
-}
-
-impl SegmentedPayloads {
-    /// Whether the file ended cleanly at a frame boundary.
-    pub fn is_clean(&self) -> bool {
-        self.torn_bytes == 0
-    }
-}
-
-/// Decodes a segmented record file: concatenated `GEYSREC1` frames
-/// appended over time (the write-ahead journal format).
-///
-/// A crash mid-append can only leave a *prefix* of a valid frame at
-/// the end of the file — a partial header or a short payload. That is
-/// recovered, not refused: the complete frames are returned and the
-/// partial tail is reported in [`SegmentedPayloads::torn_bytes`] so
-/// the caller can truncate it. Anything else — a checksum mismatch, a
-/// malformed complete header, non-frame bytes at a frame boundary —
-/// is *corruption* (bit rot, tampering, a foreign file) and surfaces
-/// as a typed [`RecordError`] for the whole file.
-pub fn decode_segmented(bytes: &[u8]) -> Result<SegmentedPayloads, RecordError> {
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let remaining = &bytes[offset..];
-        if remaining.len() < HEADER_LEN {
-            // Too short to hold a header: a torn tail iff it is a
-            // prefix of a frame start (the magic); otherwise garbage.
-            let probe = remaining.len().min(RECORD_MAGIC.len());
-            if remaining[..probe] == RECORD_MAGIC.as_bytes()[..probe] {
-                return Ok(SegmentedPayloads {
-                    records,
-                    valid_len: offset as u64,
-                    torn_bytes: remaining.len() as u64,
-                });
-            }
-            return Err(RecordError::BadHeader);
-        }
-        if !remaining.starts_with(RECORD_MAGIC.as_bytes()) {
-            return Err(RecordError::BadHeader);
-        }
-        if remaining[HEADER_LEN - 1] != b'\n' {
-            return Err(RecordError::BadHeader);
-        }
-        let header = std::str::from_utf8(&remaining[..HEADER_LEN - 1])
-            .map_err(|_| RecordError::BadHeader)?;
-        let mut fields = header.split(' ');
-        let _magic = fields.next();
-        let expected_len = fields
-            .next()
-            .and_then(|s| usize::from_str_radix(s, 16).ok())
-            .ok_or(RecordError::BadHeader)?;
-        let expected_sum = fields
-            .next()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or(RecordError::BadHeader)?;
-        let body_start = HEADER_LEN;
-        if remaining.len() - body_start < expected_len {
-            // Header complete, payload short: the classic mid-append
-            // crash. Everything before this frame is good.
-            return Ok(SegmentedPayloads {
-                records,
-                valid_len: offset as u64,
-                torn_bytes: remaining.len() as u64,
-            });
-        }
-        let payload = &remaining[body_start..body_start + expected_len];
-        let actual_sum = fnv1a_bytes(payload);
-        if actual_sum != expected_sum {
-            return Err(RecordError::ChecksumMismatch {
-                expected: expected_sum,
-                actual: actual_sum,
-            });
-        }
-        let text = String::from_utf8(payload.to_vec()).map_err(|_| RecordError::BadPayload)?;
-        records.push(text);
-        offset += body_start + expected_len;
-    }
-    Ok(SegmentedPayloads {
-        records,
-        valid_len: offset as u64,
-        torn_bytes: 0,
-    })
-}
-
-/// Appends one framed record to a segmented file, creating it (and
-/// its parent directories) on first use. The caller is responsible
-/// for having truncated any torn tail first (see
-/// [`truncate_torn_tail`]) — appending after a partial frame would
-/// bury it mid-file where it reads as corruption instead of a
-/// recoverable tail.
-pub fn append_record(path: &Path, payload: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    file.write_all(encode_record(payload).as_bytes())
-}
-
-/// Reads and decodes a segmented record file without quarantining.
-/// Missing files are [`StoreReadError::Io`]; mid-file corruption is
-/// [`StoreReadError::Corrupt`]; a torn tail is *not* an error — it is
-/// reported in the returned [`SegmentedPayloads`].
-pub fn read_segmented_file(path: &Path) -> Result<SegmentedPayloads, StoreReadError> {
-    read_checked(path, |bytes| {
-        decode_segmented(bytes).map_err(|e| e.to_string())
-    })
-}
-
-/// Truncates a segmented file's torn tail in place, returning the
-/// bytes reclaimed (0 when the file was already clean). Mid-file
-/// corruption is returned as [`StoreReadError::Corrupt`] untouched —
-/// truncation only ever removes a partial final frame.
-pub fn truncate_torn_tail(path: &Path) -> Result<u64, StoreReadError> {
-    let decoded = read_segmented_file(path)?;
-    if decoded.torn_bytes > 0 {
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
-            .and_then(|f| f.set_len(decoded.valid_len))
-            .map_err(StoreReadError::Io)?;
-    }
-    Ok(decoded.torn_bytes)
 }
 
 /// Removes stale `*.tmp` files directly under `dir` — writes that
@@ -597,24 +452,11 @@ pub fn read_checked<T>(
     })
 }
 
-/// [`read_checked`] that quarantines a file failing `check` (see
-/// [`quarantine_corrupt`]) under the store kind `label`.
-pub fn load_quarantining<T>(
-    path: &Path,
-    label: &str,
-    telemetry: &Telemetry,
-    check: impl FnOnce(&[u8]) -> Result<T, String>,
-) -> Result<T, StoreReadError> {
-    let bytes = std::fs::read(path).map_err(StoreReadError::Io)?;
-    check(&bytes).map_err(|reason| {
-        StoreReadError::Corrupt(quarantine_corrupt(path, &bytes, &reason, label, telemetry))
-    })
-}
-
 /// The validated loader every record store uses: reads `path` once,
 /// verifies its frame, runs the store's schema `parse` on the
 /// payload, and on either failure quarantines the file under the
-/// digest of its bytes. Each store keeps its own rule on
+/// digest of its bytes (see [`quarantine_corrupt`]) under the store
+/// kind `label`. Each store keeps its own rule on
 /// [`RecordPayload::Legacy`] (unframed) payloads inside `parse`.
 pub fn load_record_quarantining<T>(
     path: &Path,
@@ -622,12 +464,15 @@ pub fn load_record_quarantining<T>(
     telemetry: &Telemetry,
     parse: impl FnOnce(RecordPayload) -> Result<T, String>,
 ) -> Result<T, StoreReadError> {
-    load_quarantining(path, label, telemetry, framed(parse))
+    let bytes = std::fs::read(path).map_err(StoreReadError::Io)?;
+    framed(parse)(&bytes).map_err(|reason| {
+        StoreReadError::Corrupt(quarantine_corrupt(path, &bytes, &reason, label, telemetry))
+    })
 }
 
 /// Lifts a payload `parse` into a check over file bytes: verify the
 /// frame first, then parse. For [`read_checked`] /
-/// [`load_quarantining`].
+/// [`load_record_quarantining`].
 pub fn framed<T>(
     parse: impl FnOnce(RecordPayload) -> Result<T, String>,
 ) -> impl FnOnce(&[u8]) -> Result<T, String> {
@@ -801,114 +646,14 @@ mod tests {
     }
 
     #[test]
-    fn segmented_roundtrip_and_clean_tail() {
-        let path = temp_path("segmented-roundtrip");
-        let _ = std::fs::remove_file(&path);
-        append_record(&path, "one").unwrap();
-        append_record(&path, "two").unwrap();
-        append_record(&path, "three").unwrap();
-        let decoded = read_segmented_file(&path).unwrap();
-        assert_eq!(decoded.records, vec!["one", "two", "three"]);
-        assert!(decoded.is_clean());
-        assert_eq!(truncate_torn_tail(&path).unwrap(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn segmented_truncation_at_every_offset_recovers_a_prefix() {
-        let mut file = Vec::new();
-        let frames = ["alpha", "braavo", r#"{"c": 3}"#];
-        for payload in frames {
-            file.extend_from_slice(encode_record(payload).as_bytes());
-        }
-        for keep in 0..file.len() {
-            let decoded = decode_segmented(&file[..keep])
-                .unwrap_or_else(|e| panic!("truncation to {keep} bytes must recover, got {e}"));
-            // The recovered records are a strict prefix of the
-            // originals — never a reordered or partial frame.
-            for (i, rec) in decoded.records.iter().enumerate() {
-                assert_eq!(rec, frames[i], "prefix property broken at keep={keep}");
-            }
-            assert_eq!(
-                decoded.valid_len + decoded.torn_bytes,
-                keep as u64,
-                "every byte accounted for at keep={keep}"
-            );
-        }
-        assert!(decode_segmented(&file).unwrap().is_clean());
-    }
-
-    #[test]
-    fn segmented_bit_flip_is_typed_corruption_never_silent() {
-        let mut file = Vec::new();
-        for payload in ["first-frame", "second-frame"] {
-            file.extend_from_slice(encode_record(payload).as_bytes());
-        }
-        let reference = decode_segmented(&file).unwrap();
-        for at in 0..file.len() {
-            let mut copy = file.clone();
-            copy[at] ^= 0x01;
-            // A flip can turn a length field into a larger value,
-            // which reads as a torn (short) final frame — that is
-            // a clean truncation, never a replay of altered bytes.
-            if let Ok(decoded) = decode_segmented(&copy) {
-                for (i, rec) in decoded.records.iter().enumerate() {
-                    assert_eq!(
-                        rec, &reference.records[i],
-                        "flip at {at} silently altered a decoded record"
-                    );
-                }
-                assert!(
-                    decoded.torn_bytes > 0 || decoded.records.len() < 2,
-                    "flip at {at} decoded clean with all frames intact"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_in_place() {
-        let path = temp_path("torn-tail");
-        let _ = std::fs::remove_file(&path);
-        append_record(&path, "kept").unwrap();
-        append_record(&path, "torn-away").unwrap();
-        let body = std::fs::read(&path).unwrap();
-        let cut = body.len() - 4;
-        std::fs::write(&path, &body[..cut]).unwrap();
-        let reclaimed = truncate_torn_tail(&path).unwrap();
-        assert!(reclaimed > 0);
-        let decoded = read_segmented_file(&path).unwrap();
-        assert_eq!(decoded.records, vec!["kept"]);
-        assert!(decoded.is_clean());
-        // The file is appendable again after recovery.
-        append_record(&path, "resumed").unwrap();
-        assert_eq!(
-            read_segmented_file(&path).unwrap().records,
-            vec!["kept", "resumed"]
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mid_file_corruption_refuses_the_segmented_file() {
-        let mut file = Vec::new();
-        file.extend_from_slice(encode_record("good").as_bytes());
-        file.extend_from_slice(b"not a frame at a boundary");
-        assert!(matches!(
-            decode_segmented(&file),
-            Err(RecordError::BadHeader)
-        ));
-    }
-
-    #[test]
     fn quarantine_tags_the_store_kind() {
         let path = temp_path("kind-tag");
         std::fs::write(&path, "garbage").unwrap();
         let telemetry = Telemetry::enabled();
-        quarantine_corrupt(&path, b"garbage", "torn", "journal", &telemetry);
+        quarantine_corrupt(&path, b"garbage", "torn", "reuse", &telemetry);
         assert_eq!(telemetry.counter_value(STORE_CORRUPT_COUNTER), Some(1));
         assert_eq!(
-            telemetry.counter_value(store_corrupt_kind_counter("journal")),
+            telemetry.counter_value(store_corrupt_kind_counter("reuse")),
             Some(1)
         );
         assert_eq!(

@@ -119,6 +119,18 @@ impl CircuitBreaker {
         self.opened_at = None;
     }
 
+    /// Records a cancelled job. Cancellation says nothing about the
+    /// workload's health, so the failure streak is left alone — but a
+    /// cancelled half-open probe must give its slot back, or every
+    /// later admission would wait on a probe that never reports. The
+    /// breaker returns to Open with its original `opened_at`, so the
+    /// next admission re-probes once the cooldown has elapsed.
+    pub fn record_cancelled(&mut self) {
+        if self.state == BreakerState::HalfOpen {
+            self.state = BreakerState::Open;
+        }
+    }
+
     /// Records a failed job: extends the streak, tripping the breaker
     /// at the threshold; a failed half-open probe re-opens
     /// immediately.
@@ -198,5 +210,29 @@ mod tests {
         b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.trips(), 2);
+    }
+
+    #[test]
+    fn cancelled_probe_releases_the_half_open_slot() {
+        let mut b = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 1,
+            cooldown_ms: 0,
+        });
+        b.record_failure();
+        let opened_at = b.opened_at;
+        assert!(b.admit(), "first admission is the probe");
+        b.record_cancelled();
+        assert_eq!(b.state(), BreakerState::Open, "probe released, not closed");
+        assert_eq!(
+            b.opened_at, opened_at,
+            "the cooldown clock is not restarted"
+        );
+        assert_eq!(b.trips(), 1, "a cancelled probe is not a trip");
+        assert!(b.admit(), "the cooldown already elapsed: re-probe");
+        b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
+        // A cancellation while closed changes nothing.
+        b.record_cancelled();
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 }

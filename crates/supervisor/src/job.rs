@@ -7,9 +7,6 @@ use geyser::{
 };
 use geyser_circuit::Circuit;
 
-use crate::admission::RejectReason;
-use crate::tenant::TenantId;
-
 /// One compile job submitted to the [`crate::Supervisor`].
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -28,23 +25,10 @@ pub struct JobSpec {
     pub checkpoint: Option<PathBuf>,
     /// Whether to restore a matching checkpoint before composing.
     pub resume: bool,
-    /// Tenant this job is billed to and scheduled under (service-layer
-    /// fairness); defaults to the `"default"` tenant.
-    pub tenant: TenantId,
-    /// Optional deadline in milliseconds from submission. The service
-    /// layer sheds the job (typed, never silent) when admission
-    /// estimates the deadline cannot be met or when it expires in the
-    /// queue. `None` means the job waits however long it takes.
-    pub deadline_ms: Option<u64>,
-    /// Whether this job may be deduplicated against an identical
-    /// in-flight compile (same circuit fingerprint, hardware digest,
-    /// technique, and seed) instead of compiling again.
-    pub dedup: bool,
 }
 
 impl JobSpec {
-    /// A plain job: no faults, no checkpointing, default tenant, no
-    /// deadline, dedup off.
+    /// A plain job: no faults, no checkpointing.
     pub fn new(
         workload: impl Into<String>,
         technique: Technique,
@@ -59,41 +43,16 @@ impl JobSpec {
             faults: FaultInjector::none(),
             checkpoint: None,
             resume: false,
-            tenant: TenantId::default(),
-            deadline_ms: None,
-            dedup: false,
         }
-    }
-
-    /// Returns the spec billed to the given tenant.
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = TenantId::new(tenant);
-        self
-    }
-
-    /// Returns the spec with a deadline, in ms from submission.
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
-        self
-    }
-
-    /// Returns the spec with single-flight deduplication opted in or
-    /// out.
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
     }
 }
 
 /// Where a job is in its lifecycle.
 ///
 /// `Queued → Running → {Done, Cancelled, Retrying, Failed}`, with
-/// `Retrying → Running` on each backoff expiry, `Queued → Broken`
-/// when the workload's breaker is open at dequeue time, and
-/// `→ Rejected` when the service layer sheds the job with a typed
-/// [`RejectReason`] (at admission or when it goes stale in the
-/// queue). The terminal states are `Done`, `Cancelled`, `Failed`,
-/// `Broken`, and `Rejected`.
+/// `Retrying → Running` on each backoff expiry, and `Queued → Broken`
+/// when the workload's breaker is open at dequeue time. The terminal
+/// states are `Done`, `Cancelled`, `Failed`, and `Broken`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Waiting in the bounded queue.
@@ -112,9 +71,6 @@ pub enum JobState {
     /// Terminal: rejected without running because the workload's
     /// circuit breaker was open.
     Broken,
-    /// Terminal: shed by the service layer with a typed
-    /// [`RejectReason`] carried in [`JobResult::rejection`].
-    Rejected,
 }
 
 impl JobState {
@@ -128,7 +84,6 @@ impl JobState {
             JobState::Cancelled => "cancelled",
             JobState::Failed => "failed",
             JobState::Broken => "broken",
-            JobState::Rejected => "rejected",
         }
     }
 
@@ -136,11 +91,7 @@ impl JobState {
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
-            JobState::Done
-                | JobState::Cancelled
-                | JobState::Failed
-                | JobState::Broken
-                | JobState::Rejected
+            JobState::Done | JobState::Cancelled | JobState::Failed | JobState::Broken
         )
     }
 }
@@ -169,15 +120,8 @@ pub struct JobResult {
     pub compiled: Option<CompiledCircuit>,
     /// The final error for `Failed` / `Cancelled` terminals.
     pub error: Option<CompileError>,
-    /// Attempts consumed (0 for `Broken` and `Rejected` jobs, which
-    /// never ran).
+    /// Attempts consumed (0 for `Broken` jobs, which never ran).
     pub attempts: u64,
-    /// Why the service layer shed this job; present exactly when
-    /// `state == Rejected`.
-    pub rejection: Option<RejectReason>,
-    /// Whether this result was served by single-flight deduplication
-    /// (a clone of the flight leader's compile).
-    pub deduped: bool,
 }
 
 #[cfg(test)]
@@ -185,28 +129,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn terminal_states_are_exactly_the_five() {
+    fn terminal_states_are_exactly_the_four() {
         assert!(JobState::Done.is_terminal());
         assert!(JobState::Cancelled.is_terminal());
         assert!(JobState::Failed.is_terminal());
         assert!(JobState::Broken.is_terminal());
-        assert!(JobState::Rejected.is_terminal());
         assert!(!JobState::Queued.is_terminal());
         assert!(!JobState::Running.is_terminal());
         assert!(!JobState::Retrying.is_terminal());
-    }
-
-    #[test]
-    fn spec_builders_set_service_fields() {
-        let mut program = Circuit::new(1);
-        program.h(0);
-        let spec = JobSpec::new("w", Technique::Baseline, program, PipelineConfig::fast())
-            .with_tenant("acme")
-            .with_deadline_ms(250)
-            .with_dedup(true);
-        assert_eq!(spec.tenant.as_str(), "acme");
-        assert_eq!(spec.deadline_ms, Some(250));
-        assert!(spec.dedup);
-        assert_eq!(JobState::Rejected.label(), "rejected");
     }
 }

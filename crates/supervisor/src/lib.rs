@@ -19,25 +19,15 @@
 //! * a per-workload **circuit breaker** — repeated failures trip the
 //!   workload open so further jobs fail fast, with a half-open probe
 //!   after a cooldown;
+//! * a **hung-worker watchdog** — an attempt whose heartbeat goes
+//!   stale is preempted and retried as a typed `WorkerHung` error;
 //! * **crash-safe checkpointing** — per-block composition results are
 //!   persisted with atomic temp-file + rename writes as they land, so
 //!   a killed sweep resumes from its last completed block and, thanks
 //!   to per-block seeding, finishes bit-identical to an uninterrupted
 //!   run;
 //! * **graceful shutdown** — in-flight and queued jobs drain before
-//!   the workers exit;
-//! * an optional **overload-resilience service layer**
-//!   ([`ServiceCore`], enabled via [`SupervisorConfig::service`]) —
-//!   per-tenant token-bucket admission and deficit-round-robin
-//!   dispatch, single-flight deduplication of identical in-flight
-//!   compiles (with leader re-election on failure), deadline-aware
-//!   load shedding with typed [`RejectReason`]s, and a degraded
-//!   compile tier under sustained overload;
-//! * a **write-ahead job journal** ([`Journal`]) — every service-layer
-//!   lifecycle decision is logged durably before the caller observes
-//!   it, so [`ServiceCore::recover`] can rebuild state after a
-//!   `kill -9` and re-admit acknowledged-but-incomplete jobs exactly
-//!   once.
+//!   the workers exit.
 //!
 //! The job state machine:
 //!
@@ -48,27 +38,20 @@
 //!               ├────▶ Cancelled (token fired)
 //!               ├────▶ Failed    (fatal, or retries exhausted)
 //! Queued ─────────────▶ Broken   (workload breaker open)
-//! submit ─────────────▶ Rejected (service layer shed, typed reason)
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
 mod breaker;
 mod checkpoint;
 mod compile;
 mod error;
 mod job;
-mod journal;
 mod retry;
-mod service;
-mod singleflight;
 mod supervisor;
-mod tenant;
 mod watchdog;
 
-pub use admission::{CostModel, RejectReason};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use checkpoint::{
     checkpoint_fingerprint, load_checkpoint, load_checkpoint_quarantining, parse_checkpoint,
@@ -77,18 +60,8 @@ pub use checkpoint::{
 pub use compile::{run_supervised_compile, CheckpointedComposePass, SupervisedCompileOptions};
 pub use error::SupervisorError;
 pub use job::{JobHandle, JobResult, JobSpec, JobState};
-pub use journal::{
-    decode_journal, load_journal_events, Journal, JournalError, JournalEvent, JournalOpenStats,
-    JournalReplay, JOURNAL_VERSION,
-};
 pub use retry::RetryPolicy;
-pub use service::{
-    degrade_config, Admission, AttachedInfo, Completion, Dispatch, FlightTicket, PendingJob,
-    RecoveryReport, ServiceConfig, ServiceCore, ServiceMetrics,
-};
-pub use singleflight::{FlightResolution, FlightRole, JobKey, SingleFlight};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorMetrics};
-pub use tenant::{DrrQueue, TenantId, TokenBucket};
 pub use watchdog::{Heartbeat, WatchdogConfig};
 
 pub use geyser::{CancelToken, ErrorClass};

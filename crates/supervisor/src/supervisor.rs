@@ -10,16 +10,10 @@ use std::time::Duration;
 use geyser::{CancelToken, CompileError, ErrorClass, SupervisionStats, Telemetry};
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-use crate::checkpoint::checkpoint_fingerprint;
 use crate::compile::{run_supervised_compile, SupervisedCompileOptions};
 use crate::error::SupervisorError;
 use crate::job::{JobHandle, JobResult, JobSpec, JobState};
-use crate::journal::{Journal, JournalEvent};
 use crate::retry::RetryPolicy;
-use crate::service::{
-    degrade_config, Admission, AttachedInfo, Dispatch, ServiceConfig, ServiceCore, ServiceMetrics,
-};
-use crate::singleflight::JobKey;
 use crate::watchdog::{Heartbeat, Watchdog, WatchdogConfig};
 
 /// Sizing and policy knobs for one [`Supervisor`].
@@ -38,13 +32,6 @@ pub struct SupervisorConfig {
     /// attempts run directly under the job's own token (the pre-
     /// watchdog behavior).
     pub watchdog: Option<WatchdogConfig>,
-    /// Overload-resilience service layer (admission control, tenant
-    /// fairness, single-flight dedup, deadline shedding, degradation).
-    /// `None` keeps the classic bounded-queue behavior, where a full
-    /// queue is a [`SupervisorError::QueueFull`] at `submit`. With a
-    /// service, `submit` always accepts and shed jobs resolve as
-    /// typed [`JobState::Rejected`] terminal results instead.
-    pub service: Option<ServiceConfig>,
 }
 
 impl Default for SupervisorConfig {
@@ -55,7 +42,6 @@ impl Default for SupervisorConfig {
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             watchdog: None,
-            service: None,
         }
     }
 }
@@ -85,12 +71,6 @@ pub struct SupervisorMetrics {
     pub queue_high_water: u64,
     /// Circuit-breaker trips across all workloads.
     pub breaker_trips: u64,
-    /// Jobs shed by the service layer with a typed rejection.
-    pub shed: u64,
-    /// Results served by single-flight deduplication.
-    pub deduped: u64,
-    /// Jobs admitted in the degraded overload tier.
-    pub degraded: u64,
 }
 
 struct QueuedJob {
@@ -99,9 +79,6 @@ struct QueuedJob {
     cancel: CancelToken,
     queue_depth: u64,
     enqueued: std::time::Instant,
-    /// Whether the service layer admitted this job in the degraded
-    /// overload tier (always false without a service layer).
-    degraded: bool,
 }
 
 struct QueueState {
@@ -119,16 +96,6 @@ struct Shared {
     idle: Condvar,
     breakers: Mutex<HashMap<String, CircuitBreaker>>,
     results: Mutex<Vec<JobResult>>,
-    /// The service layer, present when `config.service` is. Lock
-    /// order: `state` before `service` before `results`.
-    service: Option<Mutex<ServiceCore>>,
-    /// Write-ahead job journal ([`Supervisor::start_with_journal`]).
-    /// A *leaf* lock: last in the order (`state` → `service` →
-    /// `results` → `journal`); nothing is ever acquired while it is
-    /// held.
-    journal: Option<Mutex<Journal>>,
-    /// Wall-clock anchor for the service layer's ms domain.
-    start: std::time::Instant,
     next_id: AtomicU64,
     submitted: AtomicU64,
     rejected: AtomicU64,
@@ -140,29 +107,6 @@ struct Shared {
     resumed: AtomicU64,
     hung: AtomicU64,
     queue_high_water: AtomicU64,
-    shed: AtomicU64,
-    deduped: AtomicU64,
-    degraded: AtomicU64,
-}
-
-impl Shared {
-    /// Milliseconds since this supervisor started — the wall-clock
-    /// `now_ms` domain fed to the service layer.
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    /// Appends one lifecycle event to the write-ahead journal, if one
-    /// is attached. Append failures are counted, not fatal: losing
-    /// durability must not take down live compiles.
-    fn journal_event(&self, event: &JournalEvent) {
-        if let Some(journal) = &self.journal {
-            if recover(journal.lock()).append(event).is_err() {
-                self.telemetry
-                    .counter_add("supervisor.journal_append_errors", 1);
-            }
-        }
-    }
 }
 
 fn recover<'a, T>(
@@ -199,22 +143,6 @@ impl Supervisor {
         Self::start_with_telemetry(config, Telemetry::disabled())
     }
 
-    /// Starts the worker pool with a write-ahead job journal: every
-    /// service-layer lifecycle decision (admitted, attached,
-    /// dispatched, completed, shed, cancelled, failed) is appended
-    /// durably, so a killed process can be recovered by replaying the
-    /// journal through [`ServiceCore::recover`] in its next
-    /// incarnation. The journal only records service-layer decisions,
-    /// so `config.service` should be `Some`; without a service layer
-    /// it stays silent. The journal compacts on graceful shutdown.
-    pub fn start_with_journal(
-        config: SupervisorConfig,
-        telemetry: Telemetry,
-        journal: Journal,
-    ) -> Self {
-        Self::start_inner(config, telemetry, Some(journal))
-    }
-
     /// Starts the worker pool with a telemetry handle: every job gets
     /// a `supervisor.job` span (queue wait, attempts, outcome), the
     /// compile attempts nest the pipeline's pass spans beneath it, and
@@ -222,22 +150,9 @@ impl Supervisor {
     /// observational only — results are identical with telemetry
     /// enabled or disabled.
     pub fn start_with_telemetry(config: SupervisorConfig, telemetry: Telemetry) -> Self {
-        Self::start_inner(config, telemetry, None)
-    }
-
-    fn start_inner(
-        config: SupervisorConfig,
-        telemetry: Telemetry,
-        journal: Option<Journal>,
-    ) -> Self {
         let watchdog = config
             .watchdog
             .map(|wd| Watchdog::start(wd, telemetry.clone()));
-        let service = config.service.map(|mut sc| {
-            // The wait estimator must match the real worker count.
-            sc.workers = config.workers.max(1);
-            Mutex::new(ServiceCore::new(sc))
-        });
         let shared = Arc::new(Shared {
             config,
             telemetry,
@@ -251,9 +166,6 @@ impl Supervisor {
             idle: Condvar::new(),
             breakers: Mutex::new(HashMap::new()),
             results: Mutex::new(Vec::new()),
-            service,
-            journal: journal.map(Mutex::new),
-            start: std::time::Instant::now(),
             next_id: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -265,9 +177,6 @@ impl Supervisor {
             resumed: AtomicU64::new(0),
             hung: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -281,22 +190,12 @@ impl Supervisor {
         Supervisor { shared, workers }
     }
 
-    /// Submits a job, applying admission control.
-    ///
-    /// Without a service layer, a full queue or a draining supervisor
-    /// rejects with an `Err` instead of buffering. With one
-    /// ([`SupervisorConfig::service`]), every submission is accepted
-    /// and resolves to a terminal [`JobResult`] — jobs the service
-    /// sheds come back as [`JobState::Rejected`] with a typed
-    /// [`crate::RejectReason`], and duplicates of an in-flight compile
-    /// attach to it instead of compiling again.
+    /// Submits a job, applying admission control: a full queue or a
+    /// draining supervisor rejects with an `Err` instead of buffering.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SupervisorError> {
         let mut state = recover(self.shared.state.lock());
         if state.shutting_down {
             return Err(SupervisorError::ShuttingDown);
-        }
-        if let Some(service) = &self.shared.service {
-            return Ok(self.submit_serviced(service, spec));
         }
         if state.queue.len() >= self.shared.config.queue_capacity {
             self.shared.rejected.fetch_add(1, Ordering::Relaxed);
@@ -314,7 +213,6 @@ impl Supervisor {
             cancel: cancel.clone(),
             queue_depth,
             enqueued: std::time::Instant::now(),
-            degraded: false,
         });
         self.shared
             .queue_high_water
@@ -329,101 +227,11 @@ impl Supervisor {
         Ok(JobHandle { id, cancel })
     }
 
-    /// Service-layer admission: runs the decision pipeline and turns
-    /// sheds into typed terminal results. Caller holds the state lock.
-    fn submit_serviced(&self, service: &Mutex<ServiceCore>, spec: JobSpec) -> JobHandle {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel = CancelToken::new();
-        let now_ms = self.shared.now_ms();
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.telemetry.counter_add("supervisor.submitted", 1);
-        // The journal wants tenant/technique/key, but the spec moves
-        // into the service; capture them up front (the key is the same
-        // derivation the dedup layer performs).
-        let (tenant, technique, key) = if self.shared.journal.is_some() {
-            let dedup = self.shared.config.service.is_some_and(|s| s.dedup) && spec.dedup;
-            let key = dedup.then(|| {
-                JobKey::derive(
-                    &spec.program,
-                    &spec.config.hardware,
-                    spec.technique,
-                    spec.config.seed,
-                )
-            });
-            (spec.tenant.to_string(), spec.technique.label(), key)
-        } else {
-            (String::new(), "", None)
-        };
-        let admission = {
-            let mut service = recover(service.lock());
-            let admission = service.submit(id, spec, cancel.clone(), now_ms);
-            self.shared
-                .queue_high_water
-                .fetch_max(service.queue_len() as u64, Ordering::Relaxed);
-            self.shared
-                .telemetry
-                .gauge_set("supervisor.queue_depth", service.queue_len() as i64);
-            admission
-        };
-        match admission {
-            Admission::Queued { degraded } => {
-                self.shared.journal_event(&JournalEvent::admitted(
-                    id,
-                    &tenant,
-                    technique,
-                    key.as_ref(),
-                    0,
-                    now_ms,
-                ));
-                if degraded {
-                    self.shared.degraded.fetch_add(1, Ordering::Relaxed);
-                    self.shared.telemetry.counter_add("supervisor.degraded", 1);
-                }
-                self.shared.job_available.notify_one();
-            }
-            Admission::Attached { leader } => {
-                self.shared.journal_event(&JournalEvent::attached(
-                    id, &tenant, technique, leader, now_ms,
-                ));
-                // Counted (metrics and telemetry both) when the
-                // broadcast result is actually delivered, so the
-                // telemetry counter matches `SupervisorMetrics::deduped`
-                // and a follower later promoted to leader is never
-                // counted as dedup-served.
-            }
-            Admission::Shed { spec, reason } => {
-                self.shared
-                    .journal_event(&JournalEvent::shed(id, &reason, now_ms));
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.shared.telemetry.counter_add("supervisor.shed", 1);
-                self.shared.completed.fetch_add(1, Ordering::Relaxed);
-                recover(self.shared.results.lock()).push(JobResult {
-                    id,
-                    workload: spec.workload,
-                    state: JobState::Rejected,
-                    compiled: None,
-                    error: None,
-                    attempts: 0,
-                    rejection: Some(reason),
-                    deduped: false,
-                });
-                self.shared.idle.notify_all();
-            }
-        }
-        JobHandle { id, cancel }
-    }
-
-    /// Blocks until no job is queued, running, or awaiting a dedup
-    /// broadcast.
+    /// Blocks until no job is queued or running.
     pub fn wait_idle(&self) {
         let mut state = recover(self.shared.state.lock());
         loop {
-            let service_busy = self
-                .shared
-                .service
-                .as_ref()
-                .is_some_and(|s| !recover(s.lock()).is_quiescent());
-            if state.queue.is_empty() && state.in_flight == 0 && !service_busy {
+            if state.queue.is_empty() && state.in_flight == 0 {
                 return;
             }
             state = recover(self.shared.idle.wait(state));
@@ -462,19 +270,7 @@ impl Supervisor {
             hung: self.shared.hung.load(Ordering::Relaxed),
             queue_high_water: self.shared.queue_high_water.load(Ordering::Relaxed),
             breaker_trips,
-            shed: self.shared.shed.load(Ordering::Relaxed),
-            deduped: self.shared.deduped.load(Ordering::Relaxed),
-            degraded: self.shared.degraded.load(Ordering::Relaxed),
         }
-    }
-
-    /// The service layer's own counters (sheds by reason, dedup
-    /// broadcasts, re-elections); `None` without a service layer.
-    pub fn service_metrics(&self) -> Option<ServiceMetrics> {
-        self.shared
-            .service
-            .as_ref()
-            .map(|s| recover(s.lock()).metrics())
     }
 
     /// Graceful shutdown: stops accepting submissions, lets the
@@ -482,9 +278,6 @@ impl Supervisor {
     /// returns all unclaimed results.
     pub fn shutdown(mut self) -> Vec<JobResult> {
         recover(self.shared.state.lock()).shutting_down = true;
-        if let Some(service) = &self.shared.service {
-            recover(service.lock()).begin_shutdown();
-        }
         self.shared.job_available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -492,23 +285,11 @@ impl Supervisor {
         if let Some(wd) = &self.shared.watchdog {
             wd.stop();
         }
-        if let Some(journal) = &self.shared.journal {
-            // Fold the event stream so the next open replays a
-            // snapshot instead of the whole history.
-            let _ = recover(journal.lock()).compact();
-        }
         self.take_results()
     }
 }
 
 fn worker_loop(shared: &Shared) {
-    match &shared.service {
-        Some(service) => worker_loop_serviced(shared, service),
-        None => worker_loop_classic(shared),
-    }
-}
-
-fn worker_loop_classic(shared: &Shared) {
     loop {
         let job = {
             let mut state = recover(shared.state.lock());
@@ -537,186 +318,6 @@ fn worker_loop_classic(shared: &Shared) {
         recover(shared.results.lock()).push(result);
         shared.idle.notify_all();
     }
-}
-
-/// The service-layer worker loop: dispatch comes from the
-/// [`ServiceCore`] scheduler (deficit round robin with stale
-/// shedding), and completions settle flights — broadcasting a
-/// leader's success to its dedup followers or re-electing one after a
-/// failure.
-fn worker_loop_serviced(shared: &Shared, service: &Mutex<ServiceCore>) {
-    loop {
-        // Dispatch: the state lock serializes the condvar wait; the
-        // service lock (nested, consistent order) runs the scheduler.
-        let pending = {
-            let mut state = recover(shared.state.lock());
-            loop {
-                let now_ms = shared.now_ms();
-                let dispatch = recover(service.lock()).next(now_ms);
-                match dispatch {
-                    Some(Dispatch::Run(job)) => {
-                        state.in_flight += 1;
-                        break job;
-                    }
-                    Some(Dispatch::Shed {
-                        job,
-                        reason,
-                        cancelled,
-                    }) => {
-                        // Stale in queue: typed terminal rejection,
-                        // then keep scheduling. Followers of its
-                        // flight whose own token fired resolve
-                        // Cancelled alongside it.
-                        shared.journal_event(&JournalEvent::shed(job.id, &reason, now_ms));
-                        shared.shed.fetch_add(1, Ordering::Relaxed);
-                        shared.telemetry.counter_add("supervisor.shed", 1);
-                        shared.completed.fetch_add(1, Ordering::Relaxed);
-                        recover(shared.results.lock()).push(JobResult {
-                            id: job.id,
-                            workload: job.spec.workload,
-                            state: JobState::Rejected,
-                            compiled: None,
-                            error: None,
-                            attempts: 0,
-                            rejection: Some(reason),
-                            deduped: false,
-                        });
-                        for info in &cancelled {
-                            settle_cancelled_follower(shared, info);
-                        }
-                        shared.idle.notify_all();
-                        continue;
-                    }
-                    None => {
-                        if state.shutting_down {
-                            return;
-                        }
-                        state = recover(shared.job_available.wait(state));
-                    }
-                }
-            }
-        };
-        let ticket = pending.ticket();
-        shared.journal_event(&JournalEvent::dispatched(pending.id, shared.now_ms()));
-        let queue_wait_ms = shared.now_ms().saturating_sub(pending.enqueued_ms);
-        let tenant = pending.spec.tenant.to_string();
-        let job = QueuedJob {
-            id: pending.id,
-            spec: pending.spec,
-            cancel: pending.cancel,
-            queue_depth: pending.queue_depth,
-            enqueued: std::time::Instant::now(),
-            degraded: pending.degraded,
-        };
-        let started = std::time::Instant::now();
-        let result = run_job(shared, job, queue_wait_ms);
-        let measured_cost = started.elapsed().as_millis() as u64;
-
-        // Settle the flight. Lock order: service before results, and
-        // never service while holding state (submit holds state →
-        // service).
-        let completion = recover(service.lock()).complete(
-            &ticket,
-            result.state == JobState::Done,
-            measured_cost,
-            shared.now_ms(),
-        );
-        // Journal terminal outcomes before they become observable
-        // results: the leader's, then every broadcast follower's.
-        let settled_ms = shared.now_ms();
-        match (&result.state, result.compiled.as_ref()) {
-            (JobState::Done, Some(compiled)) => {
-                let digest = checkpoint_fingerprint(compiled.mapped().circuit());
-                shared.journal_event(&JournalEvent::completed(
-                    result.id,
-                    &tenant,
-                    ticket.technique,
-                    digest,
-                    measured_cost,
-                    settled_ms,
-                ));
-                for info in &completion.broadcast {
-                    shared.journal_event(&JournalEvent::completed(
-                        info.id,
-                        &info.tenant.to_string(),
-                        ticket.technique,
-                        digest,
-                        0,
-                        settled_ms,
-                    ));
-                }
-            }
-            (JobState::Cancelled, _) => {
-                shared.journal_event(&JournalEvent::cancelled(result.id, settled_ms));
-            }
-            _ => {
-                shared.journal_event(&JournalEvent::failed(result.id, settled_ms));
-            }
-        }
-        let mut settled = Vec::with_capacity(1 + completion.broadcast.len());
-        if let Some(compiled) = result.compiled.as_ref() {
-            for info in &completion.broadcast {
-                let mut shared_result = compiled.clone();
-                if let Some(sup) = shared_result
-                    .report_mut()
-                    .and_then(|r| r.supervision.as_mut())
-                {
-                    sup.tenant = info.tenant.to_string();
-                    sup.deduped = true;
-                }
-                shared.deduped.fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.counter_add("supervisor.deduped", 1);
-                settled.push(JobResult {
-                    id: info.id,
-                    workload: info.workload.clone(),
-                    state: JobState::Done,
-                    compiled: Some(shared_result),
-                    error: None,
-                    attempts: 0,
-                    rejection: None,
-                    deduped: true,
-                });
-            }
-        }
-        settled.insert(0, result);
-        for result in settled {
-            count_terminal(shared, result.state);
-            shared.completed.fetch_add(1, Ordering::Relaxed);
-            recover(shared.results.lock()).push(result);
-        }
-        for info in &completion.cancelled {
-            settle_cancelled_follower(shared, info);
-        }
-        {
-            let mut state = recover(shared.state.lock());
-            state.in_flight -= 1;
-        }
-        if completion.reelected.is_some() {
-            shared.job_available.notify_one();
-        }
-        shared.idle.notify_all();
-    }
-}
-
-/// Records the terminal result for a dedup follower whose own cancel
-/// token fired while attached: it detached from its flight and ends
-/// [`JobState::Cancelled`], never served the broadcast result.
-fn settle_cancelled_follower(shared: &Shared, info: &AttachedInfo) {
-    shared.journal_event(&JournalEvent::cancelled(info.id, shared.now_ms()));
-    count_terminal(shared, JobState::Cancelled);
-    shared.completed.fetch_add(1, Ordering::Relaxed);
-    recover(shared.results.lock()).push(JobResult {
-        id: info.id,
-        workload: info.workload.clone(),
-        state: JobState::Cancelled,
-        compiled: None,
-        error: Some(CompileError::Cancelled {
-            pass: "dedup-attached".to_string(),
-        }),
-        attempts: 0,
-        rejection: None,
-        deduped: false,
-    });
 }
 
 fn count_terminal(shared: &Shared, state: JobState) {
@@ -765,19 +366,9 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
                 compiled: None,
                 error: None,
                 attempts: 0,
-                rejection: None,
-                deduped: false,
             };
         }
     }
-
-    // Overload degradation: a job admitted in the degraded tier runs
-    // with the clamped composition search (still seed-deterministic).
-    let config = if job.degraded {
-        degrade_config(&job.spec.config)
-    } else {
-        job.spec.config.clone()
-    };
 
     let retry = shared.config.retry;
     let mut attempts: u64 = 0;
@@ -826,7 +417,7 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
         };
         let mut attempt_span = shared.telemetry.span("supervisor", "supervisor.compile");
         attempt_span.attr("attempt", attempts);
-        let attempt_result = run_supervised_compile(&job.spec.program, &config, &opts);
+        let attempt_result = run_supervised_compile(&job.spec.program, &job.spec.config, &opts);
         drop(attempt_span);
         // A Cancelled attempt whose *job* token never fired but whose
         // watch was preempted is a hang, not a cancellation: retype it
@@ -869,7 +460,8 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
     };
 
     // Breaker bookkeeping: cancellation says nothing about workload
-    // health, so only real terminals move the breaker.
+    // health, so only real terminals move the streak; a cancelled
+    // half-open probe just hands its slot back.
     let breaker_state = {
         let mut breakers = recover(shared.breakers.lock());
         let breaker = breakers
@@ -877,7 +469,7 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
             .or_insert_with(|| CircuitBreaker::new(shared.config.breaker));
         match &outcome {
             Ok(_) => breaker.record_success(),
-            Err((JobState::Cancelled, _)) => {}
+            Err((JobState::Cancelled, _)) => breaker.record_cancelled(),
             Err(_) => breaker.record_failure(),
         }
         breaker.state().label().to_string()
@@ -906,9 +498,6 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
                     blocks_resumed,
                     resumed_from_checkpoint: blocks_resumed > 0,
                     hang_preemptions,
-                    tenant: job.spec.tenant.to_string(),
-                    degraded: job.degraded,
-                    deduped: false,
                 });
             }
             // The job finished; its checkpoint has served its purpose.
@@ -922,8 +511,6 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
                 compiled: Some(compiled),
                 error: None,
                 attempts,
-                rejection: None,
-                deduped: false,
             }
         }
         Err((state, error)) => JobResult {
@@ -933,8 +520,6 @@ fn run_job(shared: &Shared, job: QueuedJob, queue_wait_ms: u64) -> JobResult {
             compiled: None,
             error: Some(error),
             attempts,
-            rejection: None,
-            deduped: false,
         },
     }
 }

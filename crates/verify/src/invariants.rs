@@ -23,47 +23,22 @@
 //!    store file either parses or was quarantined to a
 //!    `.corrupt-<digest>` sidecar; no corrupt file was left in place.
 //!
-//! Campaigns that drive the supervisor's *service layer* (admission
-//! control, tenant fairness, single-flight dedup, load shedding) hold
-//! it to four more promises, checked by [`check_serve_campaign`]:
+//! A shared-cache leg crashes a compaction mid-commit and holds the
+//! compile cache to one more, checked by [`check_cache_generation`]:
 //!
-//! 6. [`ChaosInvariant::SubmissionResolved`] — every submission
-//!    (admitted or not) reached a recognized terminal outcome; the
-//!    service never dropped one silently.
-//! 7. [`ChaosInvariant::ShedTyped`] — every shed job carries a typed
-//!    rejection reason, and only shed jobs do.
-//! 8. [`ChaosInvariant::DedupBitIdentical`] — every result served by
-//!    single-flight deduplication is bit-identical to a solo compile
-//!    of the same job.
-//! 9. [`ChaosInvariant::NoTenantStarved`] — while one tenant floods,
-//!    no other tenant's p99 latency exceeds three times its fair-share
-//!    baseline.
-//!
-//! Campaigns that kill the supervisor and recover it from its
-//! write-ahead journal hold the durability layer to three more,
-//! checked by [`check_recovery`] and [`check_cache_generation`]:
-//!
-//! 10. [`ChaosInvariant::NoAckedJobLost`] — every job the journal
-//!     acknowledged (admitted or attached) before the kill reaches a
-//!     terminal outcome after recovery; an acknowledgment is a
-//!     durability promise.
-//! 11. [`ChaosInvariant::RecoveryExactlyOnce`] — no settled job is
-//!     ever re-executed after recovery, and a recovered job's result
-//!     digest matches the uninjected reference — at-least-once with a
-//!     different answer is as much a violation as twice.
-//! 12. [`ChaosInvariant::CacheGenerationCoherent`] — after concurrent
-//!     (or killed) compactions, the shared cache's generation header
-//!     parses, no entry is torn across generations, and no stale
-//!     compaction lock outlives its holder.
+//! 6. [`ChaosInvariant::CacheGenerationCoherent`] — after concurrent
+//!    (or killed) compactions, the shared cache's generation header
+//!    parses, no entry is torn across generations, and no stale
+//!    compaction lock outlives its holder.
 //!
 //! Campaigns that compile with the composition-reuse index enabled
 //! hold the reuse layer to one more, checked by [`check_reuse`]:
 //!
-//! 13. [`ChaosInvariant::ReuseVerified`] — every replayed (reused)
-//!     composition went back through the ε re-verification gate, and
-//!     any compile that replayed cached compositions still passes the
-//!     equivalence oracle. A stale or poisoned store entry may cost a
-//!     recomposition, never correctness.
+//! 7. [`ChaosInvariant::ReuseVerified`] — every replayed (reused)
+//!    composition went back through the ε re-verification gate, and
+//!    any compile that replayed cached compositions still passes the
+//!    equivalence oracle. A stale or poisoned store entry may cost a
+//!    recomposition, never correctness.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,25 +58,6 @@ pub enum ChaosInvariant {
     /// Every store file parses or was quarantined; none was left
     /// corrupt in place.
     StoreParsesOrQuarantined,
-    /// Every submission to the service layer reached a recognized
-    /// terminal outcome (completed, degraded, rejected, or
-    /// cancelled) — never a silent drop.
-    SubmissionResolved,
-    /// Every shed job carries a typed rejection reason, and no
-    /// non-shed job does.
-    ShedTyped,
-    /// Every dedup-served result is bit-identical to a solo compile
-    /// of the same job.
-    DedupBitIdentical,
-    /// No tenant's p99 latency exceeded 3× its fair-share baseline
-    /// while another tenant flooded.
-    NoTenantStarved,
-    /// Every journal-acknowledged job reached a terminal outcome
-    /// after crash recovery.
-    NoAckedJobLost,
-    /// No settled job re-executed after recovery, and recovered
-    /// results match the uninjected reference digests.
-    RecoveryExactlyOnce,
     /// The shared cache's generation state stayed coherent through
     /// concurrent and killed compactions.
     CacheGenerationCoherent,
@@ -121,12 +77,6 @@ impl ChaosInvariant {
             ChaosInvariant::VerifiedEquivalent => "verified-equivalent",
             ChaosInvariant::ResumeBitIdentical => "resume-bit-identical",
             ChaosInvariant::StoreParsesOrQuarantined => "store-parses-or-quarantined",
-            ChaosInvariant::SubmissionResolved => "submission-resolved",
-            ChaosInvariant::ShedTyped => "shed-typed",
-            ChaosInvariant::DedupBitIdentical => "dedup-bit-identical",
-            ChaosInvariant::NoTenantStarved => "no-tenant-starved",
-            ChaosInvariant::NoAckedJobLost => "no-acked-job-lost",
-            ChaosInvariant::RecoveryExactlyOnce => "recovery-exactly-once",
             ChaosInvariant::CacheGenerationCoherent => "cache-generation-coherent",
             ChaosInvariant::ReuseVerified => "reuse-verified",
         }
@@ -296,138 +246,6 @@ pub fn check_campaign_jobs(submitted: u64, jobs: &[JobObservation]) -> Vec<Invar
     violations
 }
 
-/// What one submission to the service layer looked like after the
-/// campaign drained — a plain-data mirror of the serve scorecard's
-/// per-job record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeJobObservation {
-    /// Submission id.
-    pub id: u64,
-    /// Tenant the job was billed to.
-    pub tenant: String,
-    /// Terminal state label: `done`, `failed`, `cancelled`, `broken`,
-    /// or `rejected`.
-    pub state: String,
-    /// Whether the result carried a typed rejection reason.
-    pub has_rejection: bool,
-    /// Whether the result was served by single-flight dedup.
-    pub deduped: bool,
-    /// For sampled dedup results: whether the shared result matched a
-    /// solo compile of the same job bit for bit. `None` when the job
-    /// was not sampled (or not deduped).
-    pub dedup_bit_identical: Option<bool>,
-}
-
-/// Per-tenant latency profile for the starvation check: p99 of
-/// completed-job latency during the calm phase (the fair-share
-/// baseline) and during the storm phase, in the campaign's ms domain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TenantLatencyObservation {
-    /// Tenant label.
-    pub tenant: String,
-    /// Whether this tenant was the one flooding during the storm.
-    pub flooding: bool,
-    /// p99 completed-job latency before the storm (ms).
-    pub baseline_p99_ms: u64,
-    /// p99 completed-job latency during the storm (ms).
-    pub storm_p99_ms: u64,
-}
-
-/// Multiplier a well-behaved tenant's storm p99 may reach over its
-/// fair-share baseline before the starvation invariant trips.
-pub const STARVATION_P99_FACTOR: u64 = 3;
-
-/// Checks the service-layer invariants (6–9) over one serve
-/// campaign's drained results. `submitted` counts every submission,
-/// including ones shed at admission.
-pub fn check_serve_campaign(
-    submitted: u64,
-    jobs: &[ServeJobObservation],
-    tenants: &[TenantLatencyObservation],
-) -> Vec<InvariantViolation> {
-    let mut violations = Vec::new();
-    if jobs.len() as u64 != submitted {
-        violations.push(InvariantViolation::new(
-            ChaosInvariant::SubmissionResolved,
-            format!(
-                "{submitted} submissions but {} terminal outcomes",
-                jobs.len()
-            ),
-        ));
-    }
-    for job in jobs {
-        let tag = format!(
-            "job {} (tenant {}, state={})",
-            job.id, job.tenant, job.state
-        );
-        match job.state.as_str() {
-            "done" | "failed" | "cancelled" | "broken" | "rejected" => {}
-            other => violations.push(InvariantViolation::new(
-                ChaosInvariant::SubmissionResolved,
-                format!("job {} in unrecognized terminal state '{other}'", job.id),
-            )),
-        }
-        if job.state == "rejected" && !job.has_rejection {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::ShedTyped,
-                format!("{tag} was shed without a typed rejection reason"),
-            ));
-        }
-        if job.state != "rejected" && job.has_rejection {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::ShedTyped,
-                format!("{tag} carries a rejection reason but was not shed"),
-            ));
-        }
-        if job.dedup_bit_identical == Some(false) {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::DedupBitIdentical,
-                format!("{tag} dedup result differs from a solo compile"),
-            ));
-        }
-    }
-    for t in tenants {
-        if t.flooding {
-            continue;
-        }
-        // Sub-millisecond baselines are floored so quantization noise
-        // on a fast calm phase can't trip the check by itself.
-        let limit = STARVATION_P99_FACTOR * t.baseline_p99_ms.max(1);
-        if t.storm_p99_ms > limit {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::NoTenantStarved,
-                format!(
-                    "tenant {} p99 {}ms during the storm exceeds {}x its {}ms baseline",
-                    t.tenant, t.storm_p99_ms, STARVATION_P99_FACTOR, t.baseline_p99_ms
-                ),
-            ));
-        }
-    }
-    violations
-}
-
-/// What one journal-tracked job looked like after a kill → recover
-/// cycle, diffed against the uninjected reference run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RecoveryJobObservation {
-    /// Job id (stable across the reference, killed, and recovery
-    /// incarnations — the schedule is a pure function of the seed).
-    pub id: u64,
-    /// Whether the journal acknowledged this job (an `admitted` or
-    /// `attached` event survived) before the kill.
-    pub acked: bool,
-    /// Whether the job holds a terminal outcome after recovery.
-    pub settled: bool,
-    /// Times the job was *executed* (actually compiled) after its
-    /// outcome had already settled in the journal. Must be zero:
-    /// settled work is replayed from the journal, never re-run.
-    pub runs_after_settle: u64,
-    /// For completed jobs: whether the post-recovery result digest
-    /// matches the uninjected reference. `None` when the job did not
-    /// complete (shed/cancelled/failed terminals have no digest).
-    pub digest_matches_reference: Option<bool>,
-}
-
 /// How the shared compile cache's generation state scanned after a
 /// campaign of concurrent / killed compactions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -446,43 +264,7 @@ pub struct CacheGenerationObservation {
     pub stale_lock: bool,
 }
 
-/// Checks the crash-recovery invariants (10–11) over one kill →
-/// recover cycle diffed against its uninjected reference.
-pub fn check_recovery(jobs: &[RecoveryJobObservation]) -> Vec<InvariantViolation> {
-    let mut violations = Vec::new();
-    for job in jobs {
-        if job.acked && !job.settled {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::NoAckedJobLost,
-                format!(
-                    "job {} was journal-acknowledged before the kill but never settled after recovery",
-                    job.id
-                ),
-            ));
-        }
-        if job.runs_after_settle > 0 {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::RecoveryExactlyOnce,
-                format!(
-                    "job {} re-executed {} time(s) after its outcome had settled",
-                    job.id, job.runs_after_settle
-                ),
-            ));
-        }
-        if job.digest_matches_reference == Some(false) {
-            violations.push(InvariantViolation::new(
-                ChaosInvariant::RecoveryExactlyOnce,
-                format!(
-                    "job {} recovered to a different result than the uninjected reference",
-                    job.id
-                ),
-            ));
-        }
-    }
-    violations
-}
-
-/// Checks the shared-cache coherence invariant (12) over a
+/// Checks the shared-cache coherence invariant (6) over a
 /// post-campaign generation scan.
 pub fn check_cache_generation(obs: &CacheGenerationObservation) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
@@ -542,7 +324,7 @@ pub struct ReuseObservation {
     pub verified_equivalent: Option<bool>,
 }
 
-/// Checks the reuse invariant (13) over one reuse-enabled compile.
+/// Checks the reuse invariant (7) over one reuse-enabled compile.
 pub fn check_reuse(obs: &ReuseObservation) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
     if obs.unverified_replays > 0 {
@@ -678,164 +460,6 @@ mod tests {
         assert!(v[0].detail.contains("ckpt-ghz.json"));
     }
 
-    fn resolved(id: u64, tenant: &str) -> ServeJobObservation {
-        ServeJobObservation {
-            id,
-            tenant: tenant.into(),
-            state: "done".into(),
-            has_rejection: false,
-            deduped: false,
-            dedup_bit_identical: None,
-        }
-    }
-
-    #[test]
-    fn clean_serve_campaign_has_no_violations() {
-        let jobs = vec![resolved(0, "a"), resolved(1, "b")];
-        let tenants = vec![
-            TenantLatencyObservation {
-                tenant: "a".into(),
-                flooding: false,
-                baseline_p99_ms: 100,
-                storm_p99_ms: 250,
-            },
-            TenantLatencyObservation {
-                tenant: "b".into(),
-                flooding: true,
-                baseline_p99_ms: 100,
-                storm_p99_ms: 9_000,
-            },
-        ];
-        assert!(check_serve_campaign(2, &jobs, &tenants).is_empty());
-    }
-
-    #[test]
-    fn unresolved_submission_is_flagged() {
-        let v = check_serve_campaign(3, &[resolved(0, "a"), resolved(1, "a")], &[]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, "submission-resolved");
-        let mut weird = resolved(0, "a");
-        weird.state = "vaporized".into();
-        let v = check_serve_campaign(1, &[weird], &[]);
-        assert!(v.iter().any(|x| x.invariant == "submission-resolved"));
-    }
-
-    #[test]
-    fn untyped_or_misplaced_rejection_is_flagged() {
-        let mut untyped = resolved(0, "a");
-        untyped.state = "rejected".into();
-        let mut misplaced = resolved(1, "a");
-        misplaced.has_rejection = true;
-        let v = check_serve_campaign(2, &[untyped, misplaced], &[]);
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| x.invariant == "shed-typed"));
-    }
-
-    #[test]
-    fn dedup_divergence_is_flagged() {
-        let mut diverged = resolved(0, "a");
-        diverged.deduped = true;
-        diverged.dedup_bit_identical = Some(false);
-        let mut fine = resolved(1, "a");
-        fine.deduped = true;
-        fine.dedup_bit_identical = Some(true);
-        let v = check_serve_campaign(2, &[diverged, fine], &[]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, "dedup-bit-identical");
-    }
-
-    #[test]
-    fn starved_tenant_is_flagged_but_flooder_is_exempt() {
-        let tenants = vec![
-            TenantLatencyObservation {
-                tenant: "victim".into(),
-                flooding: false,
-                baseline_p99_ms: 100,
-                storm_p99_ms: 301,
-            },
-            TenantLatencyObservation {
-                tenant: "hog".into(),
-                flooding: true,
-                baseline_p99_ms: 100,
-                storm_p99_ms: 50_000,
-            },
-        ];
-        let v = check_serve_campaign(0, &[], &tenants);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, "no-tenant-starved");
-        assert!(v[0].detail.contains("victim"));
-    }
-
-    #[test]
-    fn zero_baseline_is_floored_not_divided() {
-        let tenants = vec![TenantLatencyObservation {
-            tenant: "quick".into(),
-            flooding: false,
-            baseline_p99_ms: 0,
-            storm_p99_ms: 3,
-        }];
-        assert!(check_serve_campaign(0, &[], &tenants).is_empty());
-    }
-
-    #[test]
-    fn serve_labels_are_stable() {
-        assert_eq!(
-            ChaosInvariant::SubmissionResolved.label(),
-            "submission-resolved"
-        );
-        assert_eq!(ChaosInvariant::ShedTyped.label(), "shed-typed");
-        assert_eq!(
-            ChaosInvariant::DedupBitIdentical.label(),
-            "dedup-bit-identical"
-        );
-        assert_eq!(ChaosInvariant::NoTenantStarved.label(), "no-tenant-starved");
-    }
-
-    fn recovered(id: u64) -> RecoveryJobObservation {
-        RecoveryJobObservation {
-            id,
-            acked: true,
-            settled: true,
-            runs_after_settle: 0,
-            digest_matches_reference: Some(true),
-        }
-    }
-
-    #[test]
-    fn clean_recovery_has_no_violations() {
-        assert!(check_recovery(&[recovered(0), recovered(1)]).is_empty());
-    }
-
-    #[test]
-    fn lost_acked_job_is_flagged() {
-        let mut lost = recovered(0);
-        lost.settled = false;
-        lost.digest_matches_reference = None;
-        let v = check_recovery(&[lost, recovered(1)]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].invariant, "no-acked-job-lost");
-        // An unacked job that never settles is not a durability
-        // violation — nothing was promised for it.
-        let mut unacked = recovered(2);
-        unacked.acked = false;
-        unacked.settled = false;
-        unacked.digest_matches_reference = None;
-        assert!(check_recovery(&[unacked]).is_empty());
-    }
-
-    #[test]
-    fn rerun_or_diverged_recovery_is_flagged() {
-        let mut rerun = recovered(0);
-        rerun.runs_after_settle = 1;
-        let mut diverged = recovered(1);
-        diverged.digest_matches_reference = Some(false);
-        let v = check_recovery(&[rerun, diverged]);
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| x.invariant == "recovery-exactly-once"));
-        assert!(v.iter().any(|x| x.detail.contains("re-executed")));
-        assert!(v.iter().any(|x| x.detail.contains("different result")));
-    }
-
     fn coherent_cache() -> CacheGenerationObservation {
         CacheGenerationObservation {
             generation_parses: true,
@@ -865,12 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_labels_are_stable() {
-        assert_eq!(ChaosInvariant::NoAckedJobLost.label(), "no-acked-job-lost");
-        assert_eq!(
-            ChaosInvariant::RecoveryExactlyOnce.label(),
-            "recovery-exactly-once"
-        );
+    fn cache_generation_label_is_stable() {
         assert_eq!(
             ChaosInvariant::CacheGenerationCoherent.label(),
             "cache-generation-coherent"

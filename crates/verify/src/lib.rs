@@ -28,10 +28,9 @@ pub mod quarantine;
 
 pub use fuzz::{derive_seed, generate_case, generate_cases, FuzzCase, FuzzOptions};
 pub use invariants::{
-    check_cache_generation, check_campaign_jobs, check_recovery, check_reuse, check_serve_campaign,
-    check_store_scan, CacheGenerationObservation, ChaosInvariant, InvariantViolation,
-    JobObservation, RecoveryJobObservation, ReuseObservation, ServeJobObservation,
-    StoreFileObservation, StoreFileStatus, TenantLatencyObservation, STARVATION_P99_FACTOR,
+    check_cache_generation, check_campaign_jobs, check_reuse, check_store_scan,
+    CacheGenerationObservation, ChaosInvariant, InvariantViolation, JobObservation,
+    ReuseObservation, StoreFileObservation, StoreFileStatus,
 };
 pub use minimize::{minimize, MinimizeStats};
 pub use oracle::{

@@ -7,16 +7,15 @@
 use std::path::{Path, PathBuf};
 
 use geyser::store::{
-    read_record_file, read_record_file_quarantining, truncate_torn_tail, write_record_atomic,
-    StoreReadError, STORE_CORRUPT_COUNTER,
+    read_record_file, read_record_file_quarantining, write_record_atomic, StoreReadError,
+    STORE_CORRUPT_COUNTER,
 };
 use geyser::{Technique, Telemetry};
 use geyser_bench::{classify_cache_payload, CachePayloadStatus};
 use geyser_circuit::Circuit;
 use geyser_supervisor::{
-    load_checkpoint, load_checkpoint_quarantining, load_journal_events, run_supervised_compile,
-    write_checkpoint_atomic, Checkpoint, CheckpointError, JobSpec, JobState, Journal, JournalError,
-    JournalEvent, ServiceConfig, ServiceCore, SupervisedCompileOptions, Supervisor,
+    load_checkpoint, load_checkpoint_quarantining, run_supervised_compile, write_checkpoint_atomic,
+    Checkpoint, CheckpointError, JobSpec, JobState, SupervisedCompileOptions, Supervisor,
     SupervisorConfig,
 };
 
@@ -158,117 +157,6 @@ fn frame_valid_garbage_is_not_a_cache_entry() {
     );
 }
 
-/// Builds a committed (clean-tailed, loadable) journal with four
-/// settled jobs and one pending admission, and returns its path plus
-/// the full event count.
-fn committed_journal(tag: &str) -> (PathBuf, usize) {
-    let path = std::env::temp_dir().join(format!(
-        "geyser-crash-recovery-{}-{tag}.journal",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let telemetry = Telemetry::disabled();
-    let mut journal = Journal::open(&path, &telemetry).unwrap();
-    for id in 0..4u64 {
-        journal
-            .append(&JournalEvent::admitted(
-                id,
-                "tenant-0",
-                "geyser",
-                None,
-                7,
-                10 + id,
-            ))
-            .unwrap();
-        journal
-            .append(&JournalEvent::completed(
-                id,
-                "tenant-0",
-                "geyser",
-                0xabc0 + id,
-                5,
-                20 + id,
-            ))
-            .unwrap();
-    }
-    journal
-        .append(&JournalEvent::admitted(
-            9, "tenant-1", "baseline", None, 7, 40,
-        ))
-        .unwrap();
-    drop(journal);
-    let (events, torn) = load_journal_events(&path).unwrap();
-    assert_eq!(torn, 0, "the committed journal must have a clean tail");
-    (path, events.len())
-}
-
-#[test]
-fn every_offset_journal_mutation_is_typed_or_truncates_cleanly() {
-    // Property sweep over the whole journal body: damage at *every*
-    // byte offset must surface as a typed error or a clean torn-tail
-    // truncation — never a panic, never a silent full replay.
-    let (path, full) = committed_journal("journal-property");
-    let body = std::fs::read(&path).unwrap();
-    assert!(
-        full >= 9,
-        "the fixture journal must hold all appended events"
-    );
-
-    // Truncation at every offset models a kill -9 mid-append: the
-    // committed prefix replays, the torn tail prunes away entirely.
-    for cut in 0..body.len() {
-        std::fs::write(&path, &body[..cut]).unwrap();
-        let (events, torn) = load_journal_events(&path)
-            .unwrap_or_else(|e| panic!("truncation at {cut} must stay loadable, got {e:?}"));
-        assert!(
-            events.len() < full,
-            "truncation at {cut} of {} must lose at least the final event",
-            body.len()
-        );
-        let reclaimed = truncate_torn_tail(&path).unwrap();
-        assert_eq!(
-            reclaimed, torn,
-            "pruning must reclaim exactly the reported torn bytes (cut {cut})"
-        );
-        let (after, torn_after) = load_journal_events(&path).unwrap();
-        assert_eq!(
-            torn_after, 0,
-            "a pruned journal has a clean tail (cut {cut})"
-        );
-        assert_eq!(
-            after.len(),
-            events.len(),
-            "pruning must not drop committed events (cut {cut})"
-        );
-    }
-
-    // A bit-flip at every offset models rot under the committed tail:
-    // the frame checksum must catch it (typed Corrupt), or the damage
-    // must read as a shorter/torn log — never all events, clean tail.
-    for at in 0..body.len() {
-        let mut flipped = body.clone();
-        flipped[at] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
-        match load_journal_events(&path) {
-            Err(JournalError::Corrupt { digest, reason }) => {
-                assert_ne!(digest, 0, "corrupt report at {at} must carry a digest");
-                assert!(
-                    !reason.is_empty(),
-                    "corrupt report at {at} must carry a reason"
-                );
-            }
-            Err(JournalError::Io(e)) => {
-                panic!("bit-flip at {at} must not surface as an IO error: {e}")
-            }
-            Ok((events, torn)) => assert!(
-                events.len() < full || torn > 0,
-                "bit-flip at {at} silently replayed all {full} events with a clean tail"
-            ),
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
 /// The same blocky program the supervision tests use: several
 /// eligible composition blocks, so `kill-after-block:1` fires
 /// mid-sweep with work left over.
@@ -340,84 +228,4 @@ fn resume_from_a_bit_flipped_checkpoint_starts_fresh_and_matches() {
         "the corrupt checkpoint must be quarantined, not overwritten in silence"
     );
     cleanup(&path);
-}
-
-#[test]
-fn supervised_journal_compacts_then_recovers_through_a_torn_tail() {
-    // The journal end to end at the supervisor layer: a journaled
-    // run settles two jobs and compacts on graceful shutdown; a torn
-    // half-frame (kill -9 mid-append) is then truncated on reopen and
-    // both settlements replay into a fresh service core with nothing
-    // left to re-admit.
-    let path = std::env::temp_dir().join(format!(
-        "geyser-crash-recovery-{}-supervised.journal",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-    let telemetry = Telemetry::disabled();
-    let cfg = geyser::PipelineConfig::fast();
-
-    let journal = Journal::open(&path, &telemetry).unwrap();
-    let supervisor = Supervisor::start_with_journal(
-        SupervisorConfig {
-            workers: 1,
-            service: Some(ServiceConfig::default()),
-            ..SupervisorConfig::default()
-        },
-        telemetry.clone(),
-        journal,
-    );
-    supervisor
-        .submit(JobSpec::new(
-            "journal-a",
-            Technique::Geyser,
-            blocky(),
-            cfg.clone(),
-        ))
-        .unwrap();
-    supervisor
-        .submit(JobSpec::new(
-            "journal-b",
-            Technique::Baseline,
-            blocky(),
-            cfg,
-        ))
-        .unwrap();
-    let results = supervisor.shutdown();
-    assert!(
-        results.iter().all(|r| r.state == JobState::Done),
-        "both journaled jobs must settle: {results:?}"
-    );
-
-    let (events, torn) = load_journal_events(&path).unwrap();
-    assert_eq!(torn, 0, "graceful shutdown leaves a clean tail");
-    assert_eq!(
-        events.iter().filter(|e| e.kind == "completed").count(),
-        2,
-        "the compacted journal must retain both settlements"
-    );
-
-    // Tear the tail the way a mid-append kill would.
-    {
-        let mut wounded = Journal::open(&path, &telemetry).unwrap();
-        wounded
-            .append_torn(&JournalEvent::admitted(
-                99, "tenant-0", "geyser", None, 3, 50,
-            ))
-            .unwrap();
-    }
-
-    let recovered = Journal::open(&path, &telemetry).unwrap();
-    assert!(
-        recovered.open_stats().torn_bytes_truncated > 0,
-        "reopening must truncate the torn half-frame"
-    );
-    let mut core = ServiceCore::new(ServiceConfig::default());
-    let report = core.recover(recovered.replay(), 0);
-    assert_eq!(report.completed.len(), 2, "both settlements must replay");
-    assert!(
-        report.to_readmit.is_empty(),
-        "nothing acknowledged was left incomplete"
-    );
-    let _ = std::fs::remove_file(&path);
 }

@@ -11,8 +11,7 @@ use geyser::{CompileError, FaultInjector, PipelineConfig, Technique};
 use geyser_circuit::Circuit;
 use geyser_supervisor::{
     run_supervised_compile, BreakerConfig, BreakerState, JobSpec, JobState, RetryPolicy,
-    ServiceConfig, SupervisedCompileOptions, Supervisor, SupervisorConfig, SupervisorError,
-    WatchdogConfig,
+    SupervisedCompileOptions, Supervisor, SupervisorConfig, SupervisorError, WatchdogConfig,
 };
 use geyser_workloads::ghz;
 
@@ -221,7 +220,40 @@ fn breaker_half_opens_after_cooldown_and_closes_on_probe_success() {
         supervisor.breaker_state("recovering"),
         Some(BreakerState::Closed)
     );
+
+    // Trip it again, then cancel the half-open probe. Cancellation
+    // says nothing about the workload's health, but it must hand the
+    // half-open slot back; otherwise every later job of the workload
+    // is bounced Broken for the supervisor's life.
+    supervisor
+        .submit(job("recovering", Technique::OptiMap, "pass-panic:map"))
+        .unwrap();
+    supervisor.wait_idle();
+    let probe = supervisor
+        .submit(job("recovering", Technique::OptiMap, "hang-pass:map"))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    probe.cancel.cancel();
+    supervisor.wait_idle();
+    assert_eq!(
+        supervisor.breaker_state("recovering"),
+        Some(BreakerState::Open),
+        "a cancelled probe re-opens the breaker without closing it"
+    );
+    // The cooldown has elapsed, so the next job re-probes and closes.
+    let clean = supervisor
+        .submit(job("recovering", Technique::OptiMap, ""))
+        .unwrap();
+    supervisor.wait_idle();
+    assert_eq!(
+        supervisor.breaker_state("recovering"),
+        Some(BreakerState::Closed)
+    );
+    assert_eq!(supervisor.metrics().broken, 0);
     let results = supervisor.shutdown();
+    let by_id = |id: u64| results.iter().find(|r| r.id == id).unwrap();
+    assert_eq!(by_id(probe.id).state, JobState::Cancelled);
+    assert_eq!(by_id(clean.id).state, JobState::Done);
     assert!(results
         .iter()
         .any(|r| r.state == JobState::Done && r.attempts == 1));
@@ -359,50 +391,6 @@ fn graceful_shutdown_drains_every_queued_job() {
         let r = results.iter().find(|r| r.id == id).unwrap();
         assert_eq!(r.state, JobState::Done);
     }
-}
-
-#[test]
-fn cancelled_dedup_follower_resolves_cancelled_and_skips_promotion() {
-    let supervisor = Supervisor::start(SupervisorConfig {
-        workers: 1,
-        retry: quick_retry(0),
-        service: Some(ServiceConfig::default()),
-        ..SupervisorConfig::default()
-    });
-    // The leader hangs at its first pass, holding its flight open so
-    // the two identical submissions below deterministically attach.
-    let leader = supervisor
-        .submit(job("dup", Technique::OptiMap, "hang-pass:allocate-lattice").with_dedup(true))
-        .unwrap();
-    let follower_a = supervisor
-        .submit(job("dup", Technique::OptiMap, "").with_dedup(true))
-        .unwrap();
-    let follower_b = supervisor
-        .submit(job("dup", Technique::OptiMap, "").with_dedup(true))
-        .unwrap();
-    // Cancel one follower, then the hung leader. The flight must
-    // detach the cancelled follower (Cancelled, no broadcast, no
-    // promotion) and re-elect the live one, which compiles normally.
-    follower_a.cancel.cancel();
-    leader.cancel.cancel();
-    supervisor.wait_idle();
-    let results = supervisor.shutdown();
-    assert_eq!(results.len(), 3);
-    let by_id = |id: u64| results.iter().find(|r| r.id == id).unwrap();
-    assert_eq!(by_id(leader.id).state, JobState::Cancelled);
-    let detached = by_id(follower_a.id);
-    assert_eq!(detached.state, JobState::Cancelled);
-    assert!(matches!(
-        detached.error,
-        Some(CompileError::Cancelled { .. })
-    ));
-    assert!(!detached.deduped, "a detached follower was never served");
-    let promoted = by_id(follower_b.id);
-    assert_eq!(promoted.state, JobState::Done);
-    assert!(
-        !promoted.deduped,
-        "the promoted follower compiled for itself"
-    );
 }
 
 #[test]
