@@ -75,6 +75,23 @@ impl Entangler {
         })
     }
 
+    /// Operator Schmidt rank across the cut `q | rest` (local qubit
+    /// `q` against the other two): CCZ has rank 2 on every cut, `CZ_ab`
+    /// rank 2 on cuts `a` and `b` and rank 1 on the third.
+    pub(crate) fn schmidt_rank(&self, q: usize) -> usize {
+        let touches = match self {
+            Entangler::Ccz => true,
+            Entangler::Cz01 => q != 2,
+            Entangler::Cz02 => q != 1,
+            Entangler::Cz12 => q != 0,
+        };
+        if touches {
+            2
+        } else {
+            1
+        }
+    }
+
     /// Appends the entangler to a local 3-qubit circuit.
     pub fn emit(&self, c: &mut Circuit) {
         match self {

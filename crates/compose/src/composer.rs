@@ -30,6 +30,7 @@ use geyser_verify::verify_block_candidate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::certificate::SchmidtCertificate;
 use crate::objective::AnsatzObjective;
 use crate::{Ansatz, ComposeError, Entangler};
 
@@ -547,6 +548,10 @@ fn compose_block_planned(
         _ => None,
     };
 
+    // Which depths and entangler combinations can reach ε at all: a
+    // property of the block, so every retry shares it.
+    let cert = SchmidtCertificate::new(&target, config.epsilon);
+
     // Annealed layer search with reseeded retries: each retry derives a
     // fresh seed and halves the annealing budget (backoff), so a block
     // that refuses to converge costs a bounded, shrinking amount.
@@ -560,6 +565,7 @@ fn compose_block_planned(
         }
         match search_all_layers(
             &target,
+            &cert,
             &attempt_cfg,
             original_pulses,
             corrupt,
@@ -591,6 +597,7 @@ fn compose_block_planned(
 #[allow(clippy::too_many_arguments)]
 fn search_all_layers(
     target: &CMatrix,
+    cert: &SchmidtCertificate,
     config: &CompositionConfig,
     original_pulses: u64,
     corrupt: bool,
@@ -606,9 +613,18 @@ fn search_all_layers(
         if ansatz.min_pulses() >= original_pulses {
             return SearchVerdict::NotCheaper;
         }
-        match search_layer(
-            &ansatz, target, config, layers, cancel, telemetry, warm, trace,
-        ) {
+        // Certified prune: no combination of this depth can reach ε, so
+        // its search could only come back empty. Depths seed from
+        // `(seed, layers)` alone, so skipping one leaves the next as is.
+        let found = if cert.admits_depth(layers) {
+            search_layer(
+                &ansatz, target, cert, config, layers, cancel, telemetry, warm, trace,
+            )
+        } else {
+            telemetry.counter_add("compose.pruned_depths", 1);
+            None
+        };
+        match found {
             Some((_, params)) => {
                 trace.winning = Some((params.clone(), layers));
                 let mut candidate = ansatz.to_circuit(&params);
@@ -659,11 +675,13 @@ fn search_all_layers(
 ///    annealing iterate (its categorical held fixed).
 /// 3. **Multi-start**: Adam from seeded random starts, sweeping the
 ///    categorical combinations — annealing's decode first, then
-///    all-CCZ, then the rest.
+///    all-CCZ, then the rest. Starts of combinations `cert` rules out
+///    are skipped.
 #[allow(clippy::too_many_arguments)]
 fn search_layer(
     ansatz: &Ansatz,
     target: &CMatrix,
+    cert: &SchmidtCertificate,
     config: &CompositionConfig,
     layers: usize,
     cancel: &CancelToken,
@@ -721,7 +739,10 @@ fn search_layer(
         return None;
     }
 
-    // Phase 2: gradient refinement of the annealing iterate.
+    // Phase 2: gradient refinement of the annealing iterate. It runs
+    // even when the annealer's decoded combination is ruled out: its
+    // value feeds the `promising` gate below, so skipping it would
+    // change which starts phase 3 runs.
     let adam_cfg = AdamConfig {
         max_iters: 350,
         ..AdamConfig::default()
@@ -787,6 +808,7 @@ fn search_layer(
     }
     let starts = config.restarts.max(1);
     for combo in combos {
+        let admitted = cert.admits(combo.iter().map(|&x| Entangler::from_continuous(x)));
         for _ in 0..starts {
             if config.deadline.expired() || cancel.is_cancelled() {
                 return None;
@@ -794,6 +816,13 @@ fn search_layer(
             let mut x0: Vec<f64> = (0..ansatz.num_params())
                 .map(|_| rng.gen_range(0.0..std::f64::consts::TAU))
                 .collect();
+            if !admitted {
+                // Certified: this start cannot reach ε, and a result
+                // above ε never decides the outcome. Its `x0` is still
+                // drawn, so later starts see the same RNG stream.
+                telemetry.counter_add("compose.pruned_starts", 1);
+                continue;
+            }
             for (slot, &cat) in categorical_slots(ansatz).iter().zip(&combo) {
                 x0[*slot] = cat;
             }
@@ -1542,12 +1571,26 @@ mod tests {
     /// must keep the exact annealer evaluation count, outcome,
     /// accepted-HSD bits, pulses and Adam call count — any drift in
     /// the objective's or the gradient's floating point shows up here
-    /// as a different trajectory.
+    /// as a different trajectory. The certificate's prunes are pinned
+    /// too: dressed-cz-pair has no combination that reaches ε at one
+    /// layer, so that depth is never searched, and each block skips
+    /// one multi-start run of a ruled-out combination.
     #[test]
     fn golden_search_is_bit_identical() {
         // (name, block, annealer evaluations, outcome, accepted-HSD
-        // bits, pulses, Adam calls)
-        let golden: [(&str, Circuit, u64, &str, u64, u64, u64); 3] = [
+        // bits, pulses, Adam calls, pruned depths, pruned starts)
+        type Golden = (
+            &'static str,
+            Circuit,
+            u64,
+            &'static str,
+            u64,
+            u64,
+            u64,
+            u64,
+            u64,
+        );
+        let golden: [Golden; 3] = [
             (
                 "decomposed-ccz",
                 decomposed_ccz(),
@@ -1555,7 +1598,9 @@ mod tests {
                 "composed/2",
                 0x3cd6000000000000,
                 17,
-                1953,
+                1252,
+                0,
+                1,
             ),
             (
                 "dressed-ccz",
@@ -1564,19 +1609,25 @@ mod tests {
                 "composed/1",
                 0x3f3f4b6e60aaf800,
                 11,
-                1483,
+                782,
+                0,
+                1,
             ),
             (
                 "dressed-cz-pair",
                 dressed_cz_pair(),
-                11698,
+                6644,
                 "non-convergence",
                 0,
                 16,
-                3906,
+                1252,
+                1,
+                1,
             ),
         ];
-        for (name, block, evals, outcome, hsd_bits, pulses, refine) in golden {
+        for (name, block, evals, outcome, hsd_bits, pulses, refine, pruned_depths, pruned_starts) in
+            golden
+        {
             let telemetry = Telemetry::enabled();
             let res = compose_block_inner(
                 &block,
@@ -1590,22 +1641,60 @@ mod tests {
                 BlockOutcome::FellBack { reason } => reason.label().to_string(),
                 other => format!("{other:?}"),
             };
+            let counter = |name: &str| telemetry.counter_value(name).unwrap_or(0);
             assert_eq!(got_outcome, outcome, "{name}");
-            assert_eq!(
-                telemetry.counter_value("compose.anneal_evaluations"),
-                Some(evals),
-                "{name}"
-            );
+            assert_eq!(counter("compose.anneal_evaluations"), evals, "{name}");
             assert_eq!(res.hsd.to_bits(), hsd_bits, "{name}: hsd {}", res.hsd);
             assert_eq!(res.circuit.total_pulses(), pulses, "{name}");
             // Every block here reaches Adam, whose calls are counted
             // apart from the annealer's; their number pins the
             // gradient kernel's trajectory.
-            assert_eq!(
-                telemetry.counter_value("compose.refine_evaluations"),
-                Some(refine),
-                "{name}"
-            );
+            assert_eq!(counter("compose.refine_evaluations"), refine, "{name}");
+            assert_eq!(counter("compose.pruned_depths"), pruned_depths, "{name}");
+            assert_eq!(counter("compose.pruned_starts"), pruned_starts, "{name}");
+        }
+    }
+
+    /// `CZ(0,1)` then `CZ(1,2)` between generic U3 walls: 15 pulses,
+    /// all three qubits engaged, and rank 4 across cut 1 — no
+    /// one-layer combination reaches ε.
+    fn chained_cz_block() -> Circuit {
+        let wall = |c: &mut Circuit, base: f64| {
+            for q in 0..3 {
+                let a = base + 0.7 * q as f64;
+                c.u3(a, 1.3 * a, 0.5 + a, q);
+            }
+        };
+        let mut c = Circuit::new(3);
+        wall(&mut c, 0.3);
+        c.cz(0, 1);
+        wall(&mut c, 1.9);
+        c.cz(1, 2);
+        wall(&mut c, 3.1);
+        c
+    }
+
+    #[test]
+    fn certified_infeasible_block_never_anneals() {
+        let block = chained_cz_block();
+        assert_eq!(block.total_pulses(), 15);
+        assert!(exact_small_support_candidate(&circuit_unitary(&block)).is_none());
+        // One layer only: the depth is pruned and the ladder ends.
+        let one_layer = CompositionConfig {
+            max_layers: 1,
+            ..CompositionConfig::fast()
+        };
+        // At `fast()` the pulse guard then stops depth 2 (15 ≥ 15).
+        for (cfg, reason) in [
+            (one_layer, FallbackReason::NonConvergence),
+            (CompositionConfig::fast(), FallbackReason::NotCheaper),
+        ] {
+            let telemetry = Telemetry::enabled();
+            let res = compose_block_inner(&block, &cfg, false, &CancelToken::none(), &telemetry);
+            assert_eq!(res.outcome, BlockOutcome::FellBack { reason });
+            assert_eq!(res.circuit.ops(), block.ops());
+            assert_eq!(telemetry.counter_value("compose.anneal_evaluations"), None);
+            assert_eq!(telemetry.counter_value("compose.pruned_depths"), Some(1));
         }
     }
 

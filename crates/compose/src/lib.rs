@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod ansatz;
+mod certificate;
 mod composer;
 mod error;
 mod objective;
