@@ -8,7 +8,7 @@
 //!    (paper Fig. 7's topology choice).
 
 use geyser::{evaluate_tvd, Technique};
-use geyser_bench::{compile_cached, maybe_write_json, metrics, print_rows, Cli, Row};
+use geyser_bench::{compile_techniques, maybe_write_json, metrics, print_rows, Cli, Row};
 use geyser_blocking::{block_circuit, BlockingConfig};
 use geyser_map::{map_circuit, MappingOptions};
 use geyser_topology::Lattice;
@@ -52,13 +52,8 @@ fn main() {
     // --- Ablation 2: noise granularity -----------------------------
     for spec in cli.selected_workloads(true).into_iter().take(4) {
         let program = cli.build(&spec);
-        let compiled = compile_cached(
-            spec.name,
-            &program,
-            Technique::Geyser,
-            &cfg,
-            &cli.config_tag(),
-        );
+        let (_, compiled) =
+            compile_techniques(&cli, spec.name, &program, &[Technique::Geyser], &cfg).remove(0);
         let per_pulse = cli.noise_model();
         let per_op = per_pulse.with_per_operation_granularity();
         for (label, noise) in [("per-pulse", per_pulse), ("per-op", per_op)] {

@@ -4,7 +4,7 @@
 //! probabilities" — this binary quantifies that claim.
 
 use geyser::Technique;
-use geyser_bench::{compile_cached, maybe_write_json, metrics, print_rows, Cli, Row};
+use geyser_bench::{compile_techniques, maybe_write_json, metrics, print_rows, Cli, Row};
 use geyser_sim::{
     ideal_distribution, sample_with_atom_loss, total_variation_distance, AtomLossModel,
 };
@@ -24,13 +24,8 @@ fn main() {
     let mut rows = Vec::new();
     for spec in cli.selected_workloads(true).into_iter().take(5) {
         let program = cli.build(&spec);
-        let compiled = compile_cached(
-            spec.name,
-            &program,
-            Technique::Geyser,
-            &cfg,
-            &cli.config_tag(),
-        );
+        let (_, compiled) =
+            compile_techniques(&cli, spec.name, &program, &[Technique::Geyser], &cfg).remove(0);
         let ideal = ideal_distribution(&program);
         for &loss_rate in &loss_rates {
             let dist = sample_with_atom_loss(

@@ -20,20 +20,14 @@
 //! 5. every surviving store file parses or was quarantined to a
 //!    `.corrupt-<digest>` sidecar.
 //!
-//! After the fault campaigns, a **cache leg** crashes a shared-cache
-//! compaction mid-commit and audits generation coherence:
+//! After the fault campaigns, a **reuse leg** seeds a
+//! composition-reuse store with a structured (fixed-angle QAOA)
+//! compile, rewrites the cached negative entries as bogus `composed`
+//! records (simulated bit-rot whose frames and schema still verify),
+//! and recompiles twice — once clean, once under the composed
+//! `--inject` spec:
 //!
-//! 6. the shared cache's generation state is coherent at every
-//!    observable point — a crashed compaction leaves old or new,
-//!    never a mix.
-//!
-//! Finally a **reuse leg** seeds a composition-reuse store with a
-//! structured (fixed-angle QAOA) compile, rewrites the cached
-//! negative entries as bogus `composed` records (simulated bit-rot
-//! whose frames and schema still verify), and recompiles twice — once
-//! clean, once under the composed `--inject` spec:
-//!
-//! 7. every replayed composition is re-verified against ε and the
+//! 6. every replayed composition is re-verified against ε and the
 //!    compiled circuit passes the equivalence oracle — the clean
 //!    recompile must bounce every doctored entry off the ε gate, and
 //!    a planted `reuse-poison,reuse-skip-verify` fault must be caught
@@ -54,9 +48,7 @@ use std::path::{Path, PathBuf};
 
 use geyser::store::{is_corrupt_sidecar, read_record_file, walk_files, write_record_atomic};
 use geyser::{splitmix64, verify_compiled, FaultInjector, PassManager, Technique, Telemetry};
-use geyser_bench::{
-    exit_codes, report_json, scan_generation, Cli, SharedCache, CACHE_LOCK_STALE_MS,
-};
+use geyser_bench::{exit_codes, report_json, Cli};
 use geyser_circuit::Circuit;
 use geyser_compose::Ansatz;
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, ReuseStats};
@@ -65,9 +57,8 @@ use geyser_supervisor::{
     SupervisedCompileOptions, Supervisor, SupervisorConfig, WatchdogConfig,
 };
 use geyser_verify::{
-    check_cache_generation, check_campaign_jobs, check_reuse, check_store_scan,
-    CacheGenerationObservation, ChaosInvariant, InvariantViolation, JobObservation,
-    ReuseObservation, StoreFileObservation, StoreFileStatus, VerifyConfig,
+    check_campaign_jobs, check_reuse, check_store_scan, ChaosInvariant, InvariantViolation,
+    JobObservation, ReuseObservation, StoreFileObservation, StoreFileStatus, VerifyConfig,
 };
 use serde::Serialize;
 
@@ -160,22 +151,7 @@ struct CampaignCard {
     violations: Vec<InvariantViolation>,
 }
 
-/// The shared-cache crash-coherence leg (invariant 6:
-/// `cache-generation-coherent`): a compaction killed mid-commit must
-/// leave the old generation the readable truth, and a later takeover
-/// must converge to a coherent new one.
-#[derive(Serialize)]
-struct CacheLegCard {
-    /// Generation committed by the post-crash takeover.
-    generation: u64,
-    /// Scan taken while the crashed compactor's staging is on disk.
-    mid_crash: CacheGenerationObservation,
-    /// Scan after a fresh process swept and compacted over it.
-    recovered: CacheGenerationObservation,
-    violations: Vec<InvariantViolation>,
-}
-
-/// The composition-reuse leg (invariant 7: `reuse-verified`): a
+/// The composition-reuse leg (invariant 6: `reuse-verified`): a
 /// doctored store's bogus composed entries must bounce off the ε
 /// re-verification gate on a clean recompile, and escape — tripping
 /// the invariant — only under the injected `reuse-skip-verify` fault.
@@ -201,9 +177,7 @@ struct ReuseLegCard {
 struct Scorecard {
     seed: u64,
     campaigns: Vec<CampaignCard>,
-    /// The shared-cache crash-coherence leg (invariant 6).
-    cache: CacheLegCard,
-    /// The composition-reuse leg (invariant 7).
+    /// The composition-reuse leg (invariant 6).
     reuse: ReuseLegCard,
     total_jobs: u64,
     hang_preemptions: u64,
@@ -443,48 +417,6 @@ fn run_campaign(
     }
 }
 
-/// Runs the shared-cache crash-coherence leg: commit one generation,
-/// kill the next compaction mid-commit, audit the wreckage in place,
-/// then let a fresh process sweep, take over the stale lock, and
-/// commit — auditing again. Both scans must be coherent: the crash
-/// window exposes the *old* generation, never a mix.
-fn run_cache_leg(cli: &Cli) -> CacheLegCard {
-    let root = PathBuf::from(CHAOS_ROOT).join("cache");
-    let _ = std::fs::remove_dir_all(&root);
-
-    let mut store = SharedCache::open(&root, &cli.telemetry).expect("shared cache opens");
-    store
-        .compact(1_000, &cli.telemetry)
-        .expect("healthy compaction commits");
-    let crash_ms = 2_000;
-    store
-        .compact_crashing(crash_ms, &cli.telemetry)
-        .expect("crashed compaction stages without committing");
-
-    // Mid-crash: the staged generation and the dead compactor's lock
-    // are on disk, but readers must still see the old generation as
-    // the sole truth (the lock is held, not yet stale).
-    let mid_crash = scan_generation(&root, crash_ms + 1);
-    let mut violations = check_cache_generation(&mid_crash);
-
-    // Takeover: a later process sweeps the staging debris, declares
-    // the lock stale, and commits a coherent new generation.
-    let mut takeover = SharedCache::open(&root, &cli.telemetry).expect("shared cache reopens");
-    let after_ms = crash_ms + CACHE_LOCK_STALE_MS + 1;
-    takeover
-        .compact(after_ms, &cli.telemetry)
-        .expect("takeover compaction commits");
-    let recovered = scan_generation(&root, after_ms + 1);
-    violations.extend(check_cache_generation(&recovered));
-
-    CacheLegCard {
-        generation: takeover.generation(),
-        mid_crash,
-        recovered,
-        violations,
-    }
-}
-
 /// Rewrites every cached *negative* entry in the leg's reuse store as
 /// a bogus `composed` record with plausible 1-layer ansatz parameters
 /// — simulated bit-rot (or a stale-era store) whose frames and schema
@@ -532,7 +464,7 @@ fn observe_reuse(stats: &ReuseStats, verified_equivalent: Option<bool>) -> Reuse
 /// compile, doctor the cached negative entries into bogus composed
 /// records, then recompile clean (the ε gate must bounce every bogus
 /// replay) and once more under the composed `--inject` spec (a
-/// planted `reuse-poison,reuse-skip-verify` must trip invariant 7).
+/// planted `reuse-poison,reuse-skip-verify` must trip invariant 6).
 fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
     let seed = splitmix64(cli.seed ^ 0x5eed_5eed_5eed_5eed);
     let workdir = PathBuf::from(CHAOS_ROOT).join("reuse");
@@ -593,7 +525,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
 
     // Faulted recompile: the composed `--inject` spec is applied to
     // the same store. With `reuse-poison,reuse-skip-verify` planted,
-    // the doctored entries escape unverified and invariant 7 trips.
+    // the doctored entries escape unverified and invariant 6 trips.
     let faults = match cli.inject.as_deref() {
         Some(spec) => FaultInjector::parse(spec).expect("validated in main"),
         None => FaultInjector::none(),
@@ -643,16 +575,6 @@ fn main() {
         campaigns.push(card);
     }
 
-    // Shared-cache crash-coherence leg.
-    let cache = run_cache_leg(&cli);
-    println!(
-        "cache leg: generation={} mid-crash coherent={} recovered coherent={} violations={}",
-        cache.generation,
-        cache.mid_crash.generation_parses && cache.mid_crash.entries_beyond_generation == 0,
-        cache.recovered.generation_parses && !cache.recovered.stale_lock,
-        cache.violations.len()
-    );
-
     // Composition-reuse leg: doctored store vs the ε replay gate.
     let reuse = run_reuse_leg(&cli);
     println!(
@@ -666,12 +588,10 @@ fn main() {
     );
 
     let total_jobs: u64 = campaigns.iter().map(|c| c.submitted).sum();
-    let violations_total: usize = campaigns.iter().map(|c| c.violations.len()).sum::<usize>()
-        + cache.violations.len()
-        + reuse.violations.len();
+    let violations_total: usize =
+        campaigns.iter().map(|c| c.violations.len()).sum::<usize>() + reuse.violations.len();
     let scorecard = Scorecard {
         seed: cli.seed,
-        cache,
         reuse,
         total_jobs,
         hang_preemptions: cli
@@ -712,9 +632,6 @@ fn main() {
                     card.index, card.seed, card.inject
                 );
             }
-        }
-        for v in &scorecard.cache.violations {
-            eprintln!("error: cache leg: {v}");
         }
         for v in &scorecard.reuse.violations {
             eprintln!("error: reuse leg: {v}");

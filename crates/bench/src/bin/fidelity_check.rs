@@ -4,7 +4,7 @@
 //! corrupt program semantics.
 
 use geyser::{evaluate_tvd, Technique};
-use geyser_bench::{compile_cached, maybe_write_json, metrics, print_rows, Cli, Row};
+use geyser_bench::{compile_techniques, maybe_write_json, metrics, print_rows, Cli, Row};
 use geyser_sim::NoiseModel;
 
 fn main() {
@@ -14,13 +14,8 @@ fn main() {
     let mut worst: f64 = 0.0;
     for spec in cli.selected_workloads(true) {
         let program = cli.build(&spec);
-        let compiled = compile_cached(
-            spec.name,
-            &program,
-            Technique::Geyser,
-            &cfg,
-            &cli.config_tag(),
-        );
+        let (_, compiled) =
+            compile_techniques(&cli, spec.name, &program, &[Technique::Geyser], &cfg).remove(0);
         let report = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, cli.seed);
         worst = worst.max(report.compilation_tvd);
         let stats = compiled.composition_stats().expect("geyser stats");

@@ -1,5 +1,5 @@
 //! `fsck` for the on-disk stores: scans a store directory (including
-//! the shared cache's `objects/` shards), verifies every record's
+//! the results cache's `objects/` shards), verifies every record's
 //! frame (length prefix + FNV checksum) and payload schema,
 //! quarantines anything corrupt to a `.corrupt-<digest>` sidecar, and
 //! reports what it found.
@@ -30,11 +30,14 @@
 //! Classification mirrors the loaders exactly: every file goes through
 //! the store protocol's validated loader with its store's own schema
 //! check — `ckpt-*` files the checkpoint parse, `reuse-*.json` the
-//! reuse parse, the shared cache's `generation` header the frame
-//! check alone, and everything else `.json` the cache schema — so
+//! reuse parse, and everything else `.json` the cache schema — so
 //! `repair` can never disagree with the pipeline about what is
-//! loadable. A `compaction.lock` is reported but never touched — only
-//! a compactor may judge it stale. Corrupt files are moved aside
+//! loadable. Any other file (including a `generation` header or
+//! `compaction.lock` left by an older cache) is `unknown` and left
+//! alone. Because no store sweeps on open, `--prune` is the one
+//! reclaimer of stale `.tmp` files; run it while no bench process
+//! writes to the store, since a `.tmp` may be a live writer's staged
+//! file. Corrupt files are moved aside
 //! under the same sidecar name, structured warning (path + digest)
 //! and `store_corrupt_total` accounting the runtime uses.
 //!
@@ -49,10 +52,7 @@ use geyser::store::{
     is_corrupt_sidecar, is_tmp, load_record_quarantining, walk_files, RecordPayload, StoreReadError,
 };
 use geyser::{HardwareSpec, PipelineConfig, Telemetry};
-use geyser_bench::{
-    classify_cache_payload, exit_codes, report_json, CachePayloadStatus, CACHE_COMPACTION_LOCK,
-    CACHE_GENERATION_FILE,
-};
+use geyser_bench::{classify_cache_payload, exit_codes, report_json, CachePayloadStatus};
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, reuse_config_hash};
 use geyser_supervisor::parse_checkpoint;
 use serde::Serialize;
@@ -68,17 +68,12 @@ enum FileStatus {
     Sidecar,
     /// A stray `.tmp` from an interrupted atomic write.
     StaleTmp,
-    /// The shared cache's generation header, frame intact.
-    GenerationHeader,
     /// A reuse-store entry bound to the current hardware/config.
     ReuseEntry,
     /// A healthy reuse-store entry bound to another hardware digest or
     /// config hash — a guaranteed skip on this machine, reclaimable
     /// with `--prune`.
     ReuseStale,
-    /// A compaction lock file; possibly held by a live compactor, so
-    /// never touched.
-    Lock,
     /// Corrupt and moved aside by this scan.
     Quarantined,
     /// Corrupt but the quarantine rename failed; still in place.
@@ -96,10 +91,8 @@ impl FileStatus {
             FileStatus::StaleVersion => "stale-version",
             FileStatus::Sidecar => "sidecar",
             FileStatus::StaleTmp => "stale-tmp",
-            FileStatus::GenerationHeader => "generation-header",
             FileStatus::ReuseEntry => "reuse-entry",
             FileStatus::ReuseStale => "reuse-stale",
-            FileStatus::Lock => "lock",
             FileStatus::Quarantined => "quarantined",
             FileStatus::QuarantineFailed => "quarantine-failed",
             FileStatus::Unreadable => "unreadable",
@@ -276,18 +269,10 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> File
     if is_tmp(path) {
         return FileStatus::StaleTmp;
     }
-    if name == CACHE_COMPACTION_LOCK {
-        return FileStatus::Lock;
-    }
-    if name != CACHE_GENERATION_FILE && !name.ends_with(".json") {
+    if !name.ends_with(".json") {
         return FileStatus::Unknown;
     }
-    let (label, check): (&str, SchemaCheck) = if name == CACHE_GENERATION_FILE {
-        // The shared cache's generation header: frame check only; the
-        // next cache open heals a quarantined header from the
-        // surviving entries.
-        ("cache", |_, _| Ok(FileStatus::GenerationHeader))
-    } else if is_reuse_entry(path) {
+    let (label, check): (&str, SchemaCheck) = if is_reuse_entry(path) {
         // Cross-job reuse entry: the reuse schema, then the staleness
         // check against the repaired machine's binding.
         ("reuse", |payload, binding| {

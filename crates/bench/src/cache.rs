@@ -1,4 +1,4 @@
-//! Multi-process shared compilation cache.
+//! On-disk compilation cache.
 //!
 //! The Geyser technique's composition search is by far the most
 //! expensive stage (minutes for the 16-qubit Heisenberg workload on
@@ -7,29 +7,21 @@
 //! budget)` compilation as JSON under `.geyser-cache/` so the full
 //! figure suite compiles everything exactly once.
 //!
-//! The store is safe to share between concurrent processes (bench
-//! runs pointed at the same directory):
-//!
-//! * Entries are **content-addressed**: each lives in its own file at
-//!   `objects/<hh>/<digest:016x>.json`, written through the store
-//!   protocol's staged write (a temp file unique per write, then an
-//!   atomic rename; see [`geyser::store::stage_write`]). Two processes
-//!   racing to publish the same key both rename byte-identical content
-//!   — last rename wins, no torn state.
-//! * A framed **generation header** at the store root records how many
-//!   compactions have committed. Compaction bumps it with the same
-//!   stage+commit protocol, so a crash mid-compaction leaves either the
-//!   old or the new generation on disk, never a mix.
-//! * Compaction itself is serialized by an advisory **lock file**
-//!   created with `O_EXCL` semantics; a holder that died is detected
-//!   by the age stamped inside the lock and taken over.
+//! The cache is a plain **content-addressed** directory of framed
+//! records: each entry lives in its own file at
+//! `objects/<hh>/<digest:016x>.json`, written through the store
+//! protocol's staged write (a temp file unique per write, then an
+//! atomic rename; see [`geyser::store::stage_write`]). Concurrent
+//! processes may share one directory: two writers racing to publish
+//! the same key both rename byte-identical content, so the last rename
+//! wins and no reader ever sees a torn entry. Nothing here deletes a
+//! file another writer may still be staging; `repair --prune` is the
+//! one reclaimer of temp files, quarantine sidecars and stale-version
+//! entries.
 
 use std::path::{Path, PathBuf};
 
-use geyser::store::{
-    clean_stale_tmp, encode_record, is_corrupt_sidecar, load_record_quarantining, read_record_file,
-    remove_stale_tmp, stage_write, walk_files, write_record_atomic, RecordPayload, StoreReadError,
-};
+use geyser::store::{load_record_quarantining, write_record_atomic};
 use geyser::{
     compile, CompileReport, CompiledCircuit, PipelineConfig, Technique, Telemetry,
     VerificationStats,
@@ -38,7 +30,7 @@ use geyser_circuit::Circuit;
 use geyser_compose::CompositionStats;
 use geyser_map::{Layout, MappedCircuit};
 use geyser_topology::{Lattice, LatticeKind};
-use geyser_verify::{CacheGenerationObservation, VerifyConfig};
+use geyser_verify::VerifyConfig;
 use serde::{Deserialize, Serialize};
 
 #[derive(Serialize, Deserialize)]
@@ -56,15 +48,12 @@ struct CachedStats {
 }
 
 /// On-disk schema version. Bumped to 2 when entries started binding to
-/// a hardware-spec digest, and to 3 when the store became shared
-/// (content-addressed layout, entries stamped with the generation they
-/// were written under). Older entries degrade to a cache miss instead
-/// of silently replaying results compiled for a different machine or
+/// a hardware-spec digest, to 3 when entries moved to the
+/// content-addressed layout, and to 4 when entries stopped carrying a
+/// store generation. Older entries degrade to a cache miss instead of
+/// silently replaying results compiled for a different machine or
 /// schema.
-const CACHE_VERSION: u64 = 3;
-
-/// Schema version of the generation header record.
-const GENERATION_VERSION: u64 = 1;
+const CACHE_VERSION: u64 = 4;
 
 /// Default cache root, relative to the working directory (matching the
 /// composition checkpoints that live beside it).
@@ -74,34 +63,12 @@ pub const CACHE_ROOT: &str = ".geyser-cache";
 /// byte of the key digest.
 pub const CACHE_OBJECTS_DIR: &str = "objects";
 
-/// File name of the framed generation header at the store root.
-pub const CACHE_GENERATION_FILE: &str = "generation";
-
-/// File name of the advisory compaction lock at the store root.
-pub const CACHE_COMPACTION_LOCK: &str = "compaction.lock";
-
-/// Age (against the timestamp stamped inside the lock) after which a
-/// compaction lock is presumed orphaned by a dead process and taken
-/// over.
-pub const CACHE_LOCK_STALE_MS: u64 = 60_000;
-
-#[derive(Serialize, Deserialize)]
-struct GenerationHeader {
-    version: u64,
-    generation: u64,
-}
-
 #[derive(Serialize, Deserialize)]
 struct CachedCompile {
     version: u64,
     /// Digest of the [`geyser::HardwareSpec`] the entry was compiled
     /// for; a mismatch at load time is a miss, never a replay.
     hardware_digest: u64,
-    /// Store generation current when the entry was published. An entry
-    /// claiming a generation the header never committed is the
-    /// signature of a lost rename — flagged by [`scan_generation`],
-    /// ignored by the loader (the entry itself is still replayable).
-    generation: u64,
     lattice_kind: String,
     rows: usize,
     cols: usize,
@@ -156,324 +123,17 @@ fn fingerprint(program: &Circuit) -> u64 {
     geyser::store::fnv1a_bytes(format!("{program:?}").as_bytes())
 }
 
-/// Digest addressing one `(workload, technique, config, program)`
-/// tuple inside the object store.
-fn key_digest(name: &str, technique: Technique, cfg_tag: &str, fp: u64) -> u64 {
+/// Content-addressed path of the entry for one `(workload, technique,
+/// config, program)` tuple under the cache `root`.
+fn entry_path(root: &Path, name: &str, technique: Technique, cfg_tag: &str, fp: u64) -> PathBuf {
     let key = format!(
         "{name}-{}-{cfg_tag}-{fp:016x}",
         technique.label().to_lowercase()
     );
-    geyser::store::fnv1a_bytes(key.as_bytes())
-}
-
-/// Every file under the object tree, sorted; an unreadable tree reads
-/// as empty.
-fn object_files(objects: &Path) -> Vec<PathBuf> {
-    walk_files(objects).unwrap_or_default()
-}
-
-/// Whether a path names a cache entry (quarantine sidecars and temp
-/// files carry other extensions).
-fn is_entry_file(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "json")
-}
-
-/// Outcome of one [`SharedCache::compact`] attempt.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionOutcome {
-    /// Whether this process committed a compaction. `false` means the
-    /// lock was held by a live peer (their compaction counts) or the
-    /// commit was aborted by an injected crash.
-    pub performed: bool,
-    /// Files reclaimed: stale-version entries, quarantine sidecars,
-    /// and orphaned temp files.
-    pub pruned: u64,
-    /// Store generation after the attempt.
-    pub generation: u64,
-}
-
-/// Handle on a shared on-disk compile cache rooted at one directory.
-///
-/// Opening is cheap (one header read plus a stale-temp sweep) and safe
-/// to repeat; every bench process opens its own handle on the same
-/// root.
-pub struct SharedCache {
-    root: PathBuf,
-    generation: u64,
-}
-
-impl SharedCache {
-    /// Opens (creating if needed) the shared cache at `root`: builds
-    /// the object tree, sweeps temp files orphaned by crashed writers,
-    /// and loads — or initializes — the generation header. A corrupt
-    /// header is quarantined and re-seeded at the highest generation
-    /// any live entry claims, so healing never makes existing entries
-    /// read as written "in the future".
-    pub fn open(root: &Path, telemetry: &Telemetry) -> std::io::Result<SharedCache> {
-        let objects = root.join(CACHE_OBJECTS_DIR);
-        std::fs::create_dir_all(&objects)?;
-        clean_stale_tmp(root, telemetry);
-        remove_stale_tmp(&object_files(&objects), telemetry);
-        let gen_path = root.join(CACHE_GENERATION_FILE);
-        // A frame-corrupt header is quarantined; one that merely fails
-        // the schema is re-seeded in place.
-        let loaded = load_record_quarantining(&gen_path, "cache", telemetry, |payload| {
-            Ok(serde_json::from_str::<GenerationHeader>(payload.text())
-                .ok()
-                .filter(|h| h.generation > 0)
-                .map(|h| h.generation))
-        })
-        .unwrap_or(None);
-        let generation = match loaded {
-            Some(g) => g,
-            None => {
-                let floor = max_entry_generation(&objects).max(1);
-                let header = GenerationHeader {
-                    version: GENERATION_VERSION,
-                    generation: floor,
-                };
-                if let Ok(body) = serde_json::to_string(&header) {
-                    let _ = write_record_atomic(&gen_path, &body);
-                }
-                floor
-            }
-        };
-        Ok(SharedCache {
-            root: root.to_path_buf(),
-            generation,
-        })
-    }
-
-    /// The store root this handle was opened on.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The generation loaded at open (or committed by this handle's
-    /// own compactions since).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Content-addressed path of the entry for one compile key.
-    pub fn entry_path_for(
-        &self,
-        name: &str,
-        technique: Technique,
-        cfg_tag: &str,
-        fp: u64,
-    ) -> PathBuf {
-        let digest = key_digest(name, technique, cfg_tag, fp);
-        self.root
-            .join(CACHE_OBJECTS_DIR)
-            .join(format!("{:02x}", digest >> 56))
-            .join(format!("{digest:016x}.json"))
-    }
-
-    /// Compacts the store: reclaims stale-version entries, quarantine
-    /// sidecars, and orphaned temp files, then commits a new
-    /// generation. Serialized against concurrent compactors by the
-    /// advisory lock file; when a live peer holds the lock this
-    /// returns `performed: false` without touching anything.
-    ///
-    /// `now_ms` drives lock-staleness judgement (the store is
-    /// clock-free by design; callers pass their own time base).
-    pub fn compact(
-        &mut self,
-        now_ms: u64,
-        telemetry: &Telemetry,
-    ) -> std::io::Result<CompactionOutcome> {
-        self.compact_inner(now_ms, telemetry, false)
-    }
-
-    /// [`Self::compact`] that aborts at the worst possible point — the
-    /// new generation header is written to its temp file but never
-    /// renamed, and the lock file is left behind, exactly as a
-    /// `kill -9` mid-commit would. Chaos hook for the
-    /// `kill-mid-compaction` fault; the next [`Self::open`] sweeps the
-    /// temp and the next compaction takes over the stale lock.
-    pub fn compact_crashing(
-        &mut self,
-        now_ms: u64,
-        telemetry: &Telemetry,
-    ) -> std::io::Result<CompactionOutcome> {
-        self.compact_inner(now_ms, telemetry, true)
-    }
-
-    fn compact_inner(
-        &mut self,
-        now_ms: u64,
-        telemetry: &Telemetry,
-        crash_before_commit: bool,
-    ) -> std::io::Result<CompactionOutcome> {
-        if !self.try_lock(now_ms, telemetry)? {
-            return Ok(CompactionOutcome {
-                performed: false,
-                pruned: 0,
-                generation: self.generation,
-            });
-        }
-        let files = object_files(&self.root.join(CACHE_OBJECTS_DIR));
-        let mut pruned = remove_stale_tmp(&files, telemetry) as u64;
-        for path in &files {
-            if is_corrupt_sidecar(path) {
-                if std::fs::remove_file(path).is_ok() {
-                    pruned += 1;
-                }
-                continue;
-            }
-            if !is_entry_file(path) {
-                continue;
-            }
-            // Unlike the hit path, compaction refuses legacy payloads:
-            // every entry in the object store was written framed.
-            let status =
-                load_record_quarantining(path, "cache", telemetry, |payload| match payload {
-                    RecordPayload::Legacy(_) => Err("unframed file in cache object store".into()),
-                    RecordPayload::Framed(text) => match classify_cache_payload(&text) {
-                        CachePayloadStatus::Malformed => {
-                            Err("cache entry JSON does not parse".into())
-                        }
-                        status => Ok(status),
-                    },
-                });
-            if matches!(status, Ok(CachePayloadStatus::StaleVersion))
-                && std::fs::remove_file(path).is_ok()
-            {
-                pruned += 1;
-            }
-        }
-        let header = GenerationHeader {
-            version: GENERATION_VERSION,
-            generation: self.generation + 1,
-        };
-        let body = serde_json::to_string(&header)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        let staged = stage_write(
-            &self.root.join(CACHE_GENERATION_FILE),
-            encode_record(&body).as_bytes(),
-        )?;
-        if crash_before_commit {
-            return Ok(CompactionOutcome {
-                performed: false,
-                pruned,
-                generation: self.generation,
-            });
-        }
-        staged.commit()?;
-        self.generation += 1;
-        let _ = std::fs::remove_file(self.root.join(CACHE_COMPACTION_LOCK));
-        Ok(CompactionOutcome {
-            performed: true,
-            pruned,
-            generation: self.generation,
-        })
-    }
-
-    /// Acquires the advisory compaction lock, taking over a lock whose
-    /// holder stopped renewing `CACHE_LOCK_STALE_MS` ago (the holder's
-    /// half-written generation temp is swept as part of takeover).
-    /// Advisory by construction: two takeovers racing can momentarily
-    /// both believe they hold it, which at worst double-runs an
-    /// idempotent sweep — the generation commit itself stays atomic.
-    fn try_lock(&self, now_ms: u64, telemetry: &Telemetry) -> std::io::Result<bool> {
-        use std::io::Write;
-        let lock = self.root.join(CACHE_COMPACTION_LOCK);
-        for _ in 0..2 {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&lock)
-            {
-                Ok(mut file) => {
-                    let _ = write!(file, "{} {now_ms}", std::process::id());
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let held = std::fs::read_to_string(&lock).unwrap_or_default();
-                    let held_ms = held
-                        .split_whitespace()
-                        .nth(1)
-                        .and_then(|t| t.parse::<u64>().ok());
-                    let stale = held_ms
-                        .map(|t| now_ms.saturating_sub(t) >= CACHE_LOCK_STALE_MS)
-                        .unwrap_or(true);
-                    if !stale {
-                        return Ok(false);
-                    }
-                    clean_stale_tmp(&self.root, telemetry);
-                    let _ = std::fs::remove_file(&lock);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(false)
-    }
-}
-
-/// Highest generation any parseable entry under `objects` claims —
-/// the floor a healed generation header must respect.
-fn max_entry_generation(objects: &Path) -> u64 {
-    object_files(objects)
-        .iter()
-        .filter(|path| is_entry_file(path))
-        .filter_map(|path| read_record_file(path).ok())
-        .filter_map(|payload| serde_json::from_str::<CachedCompile>(payload.text()).ok())
-        .map(|entry| entry.generation)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Audits a shared cache root **in place** (no healing, no
-/// quarantining) and reports its coherence for the
-/// `cache-generation-coherent` chaos invariant. `now_ms` judges lock
-/// staleness against the timestamp stamped inside the lock file.
-pub fn scan_generation(root: &Path, now_ms: u64) -> CacheGenerationObservation {
-    let gen_path = root.join(CACHE_GENERATION_FILE);
-    let (generation_parses, generation) = match read_record_file(&gen_path) {
-        Ok(payload) => match serde_json::from_str::<GenerationHeader>(payload.text()) {
-            Ok(header) if header.generation > 0 => (true, header.generation),
-            _ => (false, 0),
-        },
-        Err(_) => (false, 0),
-    };
-    let mut corrupt_in_place = 0u64;
-    let mut entries_beyond_generation = 0u64;
-    for path in object_files(&root.join(CACHE_OBJECTS_DIR)) {
-        if !is_entry_file(&path) {
-            continue;
-        }
-        match read_record_file(&path) {
-            Ok(payload) if payload.is_framed() => {
-                match serde_json::from_str::<CachedCompile>(payload.text()) {
-                    Ok(entry) if entry.generation > generation => {
-                        entries_beyond_generation += 1;
-                    }
-                    Ok(_) => {}
-                    Err(_) => corrupt_in_place += 1,
-                }
-            }
-            Ok(_) | Err(StoreReadError::Corrupt(_)) => corrupt_in_place += 1,
-            Err(StoreReadError::Io(_)) => {}
-        }
-    }
-    let lock_path = root.join(CACHE_COMPACTION_LOCK);
-    let stale_lock = match std::fs::read_to_string(&lock_path) {
-        Ok(held) => held
-            .split_whitespace()
-            .nth(1)
-            .and_then(|t| t.parse::<u64>().ok())
-            .map(|t| now_ms.saturating_sub(t) >= CACHE_LOCK_STALE_MS)
-            .unwrap_or(true),
-        Err(_) => false,
-    };
-    CacheGenerationObservation {
-        generation_parses,
-        generation,
-        corrupt_in_place,
-        entries_beyond_generation,
-        stale_lock,
-    }
+    let digest = geyser::store::fnv1a_bytes(key.as_bytes());
+    root.join(CACHE_OBJECTS_DIR)
+        .join(format!("{:02x}", digest >> 56))
+        .join(format!("{digest:016x}.json"))
 }
 
 fn rebuild_lattice(
@@ -504,14 +164,12 @@ fn to_cached(
     compiled: &CompiledCircuit,
     verification: Option<VerificationStats>,
     cfg: &PipelineConfig,
-    generation: u64,
 ) -> CachedCompile {
     let mapped = compiled.mapped();
     let lattice = mapped.lattice();
     CachedCompile {
         version: CACHE_VERSION,
         hardware_digest: cfg.hardware.digest(),
-        generation,
         lattice_kind: lattice_kind_tag(lattice.kind()).to_string(),
         rows: lattice.rows(),
         cols: lattice.cols(),
@@ -605,23 +263,9 @@ fn from_cached(
 
 /// Compiles through the on-disk cache: returns the cached compilation
 /// when one exists for this exact `(workload, technique, config,
-/// program)` tuple; otherwise compiles and stores the result.
-///
-/// Cache corruption or version skew degrades gracefully to a fresh
-/// compile. `cfg_tag` should encode everything that affects the
-/// output (seed, fast/paper budget, workload parameter overrides).
-pub fn compile_cached(
-    name: &str,
-    program: &Circuit,
-    technique: Technique,
-    cfg: &PipelineConfig,
-    cfg_tag: &str,
-) -> CompiledCircuit {
-    compile_cached_verified(name, program, technique, cfg, cfg_tag, None).0
-}
-
-/// [`compile_cached`] with an optional equivalence-oracle pass whose
-/// verdict travels with the cache entry.
+/// program)` tuple; otherwise compiles and stores the result. With a
+/// `verify` config the equivalence oracle's verdict travels with the
+/// entry:
 ///
 /// * Cache hit with a stored verdict — the verdict is replayed without
 ///   re-simulating (the oracle is deterministic for the seed encoded
@@ -630,33 +274,14 @@ pub fn compile_cached(
 ///   the verdict is back-filled into the entry atomically.
 /// * Cache miss — compile, verify, store circuit and verdict together.
 ///
-/// Without a `verify` config this is exactly [`compile_cached`]:
-/// stored verdicts are preserved but none are computed.
-pub fn compile_cached_verified(
-    name: &str,
-    program: &Circuit,
-    technique: Technique,
-    cfg: &PipelineConfig,
-    cfg_tag: &str,
-    verify: Option<&VerifyConfig>,
-) -> (CompiledCircuit, Option<VerificationStats>) {
-    compile_cached_verified_traced(
-        name,
-        program,
-        technique,
-        cfg,
-        cfg_tag,
-        verify,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`compile_cached_verified`] recording cache telemetry: hits bump
-/// the `bench.cache_hits` counter, misses `bench.cache_misses`.
-/// Observational only — the returned circuit is bit-identical with
+/// Without a `verify` config stored verdicts are returned but none
+/// are computed. Cache corruption or version skew degrades gracefully
+/// to a fresh compile. `cfg_tag` should encode everything that affects
+/// the output (seed, fast/paper budget, workload parameter overrides).
+/// Hits bump the `bench.cache_hits` counter, misses
+/// `bench.cache_misses`; the returned circuit is bit-identical with
 /// telemetry enabled or disabled.
-#[allow(clippy::too_many_arguments)]
-pub fn compile_cached_verified_traced(
+pub(crate) fn compile_cached(
     name: &str,
     program: &Circuit,
     technique: Technique,
@@ -665,18 +290,13 @@ pub fn compile_cached_verified_traced(
     verify: Option<&VerifyConfig>,
     telemetry: &Telemetry,
 ) -> (CompiledCircuit, Option<VerificationStats>) {
-    let fp = fingerprint(program);
-    let cache = match SharedCache::open(Path::new(CACHE_ROOT), telemetry) {
-        Ok(cache) => cache,
-        Err(_) => {
-            // Unusable store (e.g. read-only filesystem): compile
-            // straight through without caching rather than failing.
-            let compiled = compile(program, technique, cfg);
-            let stats = verify.map(|vc| geyser::verify_compiled(program, &compiled, vc));
-            return (compiled, stats);
-        }
-    };
-    let path = cache.entry_path_for(name, technique, cfg_tag, fp);
+    let path = entry_path(
+        Path::new(CACHE_ROOT),
+        name,
+        technique,
+        cfg_tag,
+        fingerprint(program),
+    );
     // Frame corruption (torn write, bit rot) and a framed payload that
     // fails the schema are both quarantined to a `.corrupt-<digest>`
     // sidecar with a structured warning and a `store_corrupt_total`
@@ -694,13 +314,7 @@ pub fn compile_cached_verified_traced(
                 (Some(_), Some(stats)) => Some(stats),
                 (Some(vc), None) => {
                     let stats = geyser::verify_compiled(program, &compiled, vc);
-                    store(
-                        &path,
-                        &compiled,
-                        Some(stats.clone()),
-                        cfg,
-                        cache.generation(),
-                    );
+                    store(&path, &compiled, Some(stats.clone()), cfg);
                     Some(stats)
                 }
             };
@@ -716,18 +330,19 @@ pub fn compile_cached_verified_traced(
     telemetry.counter_add("bench.cache_misses", 1);
     let compiled = compile(program, technique, cfg);
     let stats = verify.map(|vc| geyser::verify_compiled(program, &compiled, vc));
-    store(&path, &compiled, stats.clone(), cfg, cache.generation());
+    store(&path, &compiled, stats.clone(), cfg);
     (compiled, stats)
 }
 
+/// Writes one entry. A failed write (e.g. a read-only filesystem) only
+/// costs the next run a recompile, so it is ignored.
 fn store(
-    path: &std::path::Path,
+    path: &Path,
     compiled: &CompiledCircuit,
     verification: Option<VerificationStats>,
     cfg: &PipelineConfig,
-    generation: u64,
 ) {
-    if let Ok(body) = serde_json::to_string(&to_cached(compiled, verification, cfg, generation)) {
+    if let Ok(body) = serde_json::to_string(&to_cached(compiled, verification, cfg)) {
         let _ = write_record_atomic(path, &body);
     }
 }
@@ -735,6 +350,7 @@ fn store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geyser::store::{is_corrupt_sidecar, read_record_file, stage_write, walk_files};
 
     // Tests that relocate the process cwd (the cache root is relative)
     // must not interleave.
@@ -770,7 +386,7 @@ mod tests {
             Technique::Superconducting,
         ] {
             let direct = compile(&program, technique, &cfg);
-            let cached = to_cached(&direct, None, &cfg, 1);
+            let cached = to_cached(&direct, None, &cfg);
             let body = serde_json::to_string(&cached).unwrap();
             let back: CachedCompile = serde_json::from_str(&body).unwrap();
             let rebuilt =
@@ -790,7 +406,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let direct = compile(&program, Technique::Baseline, &cfg);
-        let cached = to_cached(&direct, None, &cfg, 1);
+        let cached = to_cached(&direct, None, &cfg);
         let other = geyser::HardwareSpec::near_term();
         assert!(
             from_cached(cached, Technique::Baseline, other.digest()).is_none(),
@@ -803,7 +419,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let direct = compile(&program, Technique::Baseline, &cfg);
-        let mut cached = to_cached(&direct, None, &cfg, 1);
+        let mut cached = to_cached(&direct, None, &cfg);
         cached.version = CACHE_VERSION - 1;
         assert!(from_cached(cached, Technique::Baseline, cfg.hardware.digest()).is_none());
     }
@@ -874,154 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn open_initializes_and_compaction_bumps_the_generation() {
-        let root = temp_root("gen");
-        let telemetry = Telemetry::enabled();
-        let mut cache = SharedCache::open(&root, &telemetry).unwrap();
-        assert_eq!(cache.generation(), 1, "fresh store starts at generation 1");
-        assert!(root.join(CACHE_GENERATION_FILE).exists());
-
-        let outcome = cache.compact(10_000, &telemetry).unwrap();
-        assert!(outcome.performed);
-        assert_eq!(outcome.generation, 2);
-        assert!(
-            !root.join(CACHE_COMPACTION_LOCK).exists(),
-            "a committed compaction releases its lock"
-        );
-        // A second handle (another process) observes the new header.
-        let reopened = SharedCache::open(&root, &telemetry).unwrap();
-        assert_eq!(reopened.generation(), 2);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn live_peer_lock_makes_compaction_a_noop() {
-        let root = temp_root("lock");
-        let telemetry = Telemetry::enabled();
-        let mut cache = SharedCache::open(&root, &telemetry).unwrap();
-        // A peer took the lock one second ago (its timestamp, our
-        // clock): not stale, so our compaction must back off.
-        std::fs::write(root.join(CACHE_COMPACTION_LOCK), "99999 9000").unwrap();
-        let outcome = cache.compact(10_000, &telemetry).unwrap();
-        assert!(!outcome.performed, "live lock holders are respected");
-        assert_eq!(cache.generation(), 1);
-        // The same lock judged far later is an orphan: taken over.
-        let outcome = cache
-            .compact(9_000 + CACHE_LOCK_STALE_MS + 1, &telemetry)
-            .unwrap();
-        assert!(outcome.performed, "stale locks are taken over");
-        assert_eq!(outcome.generation, 2);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn crashed_compaction_leaves_the_old_generation_never_a_mix() {
-        let root = temp_root("crash");
-        let telemetry = Telemetry::enabled();
-        let mut cache = SharedCache::open(&root, &telemetry).unwrap();
-        let outcome = cache.compact_crashing(5_000, &telemetry).unwrap();
-        assert!(!outcome.performed);
-        // The wreckage a kill -9 mid-commit leaves behind: old header
-        // intact, half-committed temp, orphaned lock.
-        assert!(root.join(CACHE_COMPACTION_LOCK).exists());
-        let obs = scan_generation(&root, 5_001);
-        assert!(obs.generation_parses, "old header must read back clean");
-        assert_eq!(obs.generation, 1, "generation is old or new, never mixed");
-        assert!(!obs.stale_lock, "a just-orphaned lock is not yet stale");
-
-        // Recovery: the next open sweeps the temp; once the lock ages
-        // out, the next compaction takes over and commits.
-        let mut reopened = SharedCache::open(&root, &telemetry).unwrap();
-        assert_eq!(reopened.generation(), 1);
-        assert!(
-            telemetry
-                .counter_value(geyser::store::STORE_STALE_TMP_CLEANED_COUNTER)
-                .unwrap_or(0)
-                >= 1,
-            "the half-written generation temp is swept at open"
-        );
-        let outcome = reopened
-            .compact(5_000 + CACHE_LOCK_STALE_MS, &telemetry)
-            .unwrap();
-        assert!(outcome.performed);
-        assert_eq!(outcome.generation, 2);
-        assert!(!root.join(CACHE_COMPACTION_LOCK).exists());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn compaction_prunes_stale_entries_and_sidecars() {
-        let root = temp_root("prune");
-        let telemetry = Telemetry::enabled();
-        let program = sample_program();
-        let cfg = PipelineConfig::fast();
-        let mut cache = SharedCache::open(&root, &telemetry).unwrap();
-
-        // A current entry, written the way the compile path does.
-        let direct = compile(&program, Technique::Baseline, &cfg);
-        let keep = cache.entry_path_for("t", Technique::Baseline, "keep", 1);
-        let body = serde_json::to_string(&to_cached(&direct, None, &cfg, 1)).unwrap();
-        write_record_atomic(&keep, &body).unwrap();
-        // A stale-version entry and a quarantine sidecar beside it.
-        let mut stale = to_cached(&direct, None, &cfg, 1);
-        stale.version = CACHE_VERSION - 1;
-        let stale_path = cache.entry_path_for("t", Technique::Baseline, "stale", 2);
-        write_record_atomic(&stale_path, &serde_json::to_string(&stale).unwrap()).unwrap();
-        let sidecar = keep.parent().unwrap().join("junk.json.corrupt-00ff");
-        std::fs::write(&sidecar, "quarantined bytes").unwrap();
-
-        let outcome = cache.compact(1_000, &telemetry).unwrap();
-        assert!(outcome.performed);
-        assert_eq!(outcome.pruned, 2, "stale entry + sidecar reclaimed");
-        assert!(keep.exists(), "current entries survive compaction");
-        assert!(!stale_path.exists());
-        assert!(!sidecar.exists());
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn scan_flags_each_incoherence_symptom() {
-        let root = temp_root("scan");
-        let telemetry = Telemetry::enabled();
-        let program = sample_program();
-        let cfg = PipelineConfig::fast();
-        let cache = SharedCache::open(&root, &telemetry).unwrap();
-        let direct = compile(&program, Technique::Baseline, &cfg);
-
-        // Coherent store first.
-        let good = cache.entry_path_for("t", Technique::Baseline, "good", 1);
-        let body = serde_json::to_string(&to_cached(&direct, None, &cfg, 1)).unwrap();
-        write_record_atomic(&good, &body).unwrap();
-        let obs = scan_generation(&root, 1_000);
-        assert!(obs.generation_parses);
-        assert_eq!(obs.generation, 1);
-        assert_eq!(obs.corrupt_in_place, 0);
-        assert_eq!(obs.entries_beyond_generation, 0);
-        assert!(!obs.stale_lock);
-
-        // An entry stamped with a generation the header never
-        // committed — the signature of a lost rename.
-        let future = cache.entry_path_for("t", Technique::Baseline, "future", 2);
-        let beyond = serde_json::to_string(&to_cached(&direct, None, &cfg, 99)).unwrap();
-        write_record_atomic(&future, &beyond).unwrap();
-        // A torn entry left in place (scanners never quarantine).
-        let torn = cache.entry_path_for("t", Technique::Baseline, "torn", 3);
-        write_record_atomic(&torn, &body).unwrap();
-        let bytes = std::fs::read(&torn).unwrap();
-        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
-        // An orphaned lock from a long-dead compactor.
-        std::fs::write(root.join(CACHE_COMPACTION_LOCK), "123 0").unwrap();
-
-        let obs = scan_generation(&root, CACHE_LOCK_STALE_MS);
-        assert_eq!(obs.corrupt_in_place, 1);
-        assert_eq!(obs.entries_beyond_generation, 1);
-        assert!(obs.stale_lock);
-        let violations = geyser_verify::check_cache_generation(&obs);
-        assert_eq!(violations.len(), 3);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn torn_cache_entry_is_quarantined_and_recompiled() {
         let _cwd = CWD_LOCK.lock().unwrap();
         let dir = temp_root("torn");
@@ -1032,7 +500,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let telemetry = Telemetry::enabled();
-        let (first, _) = compile_cached_verified_traced(
+        let (first, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1041,13 +509,18 @@ mod tests {
             None,
             &telemetry,
         );
-        let cache = SharedCache::open(Path::new(CACHE_ROOT), &telemetry).unwrap();
-        let path = cache.entry_path_for("t", Technique::OptiMap, "torn", fingerprint(&program));
+        let path = entry_path(
+            Path::new(CACHE_ROOT),
+            "t",
+            Technique::OptiMap,
+            "torn",
+            fingerprint(&program),
+        );
         // Tear the committed entry the way a mid-write kill would.
         let body = std::fs::read(&path).unwrap();
         std::fs::write(&path, &body[..body.len() / 2]).unwrap();
 
-        let (second, _) = compile_cached_verified_traced(
+        let (second, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1090,35 +563,38 @@ mod tests {
         // Write an unverified entry first (pre-`--verify` run), then
         // hit it with verification on: the verdict must be computed
         // once and back-filled.
-        let (_, none) = compile_cached_verified(
+        let (_, none) = compile_cached(
             "t",
             &program,
             Technique::Baseline,
             &cfg,
             "s3-fast-st-d",
             None,
+            &Telemetry::disabled(),
         );
         assert!(none.is_none());
-        let (_, first) = compile_cached_verified(
+        let (_, first) = compile_cached(
             "t",
             &program,
             Technique::Baseline,
             &cfg,
             "s3-fast-st-d",
             Some(&vc),
+            &Telemetry::disabled(),
         );
         let first = first.expect("verdict computed on back-fill");
         assert!(first.equivalent);
 
         // Second verified hit replays the stored verdict bit for bit
         // (same seconds field proves it was not re-measured).
-        let (_, second) = compile_cached_verified(
+        let (_, second) = compile_cached(
             "t",
             &program,
             Technique::Baseline,
             &cfg,
             "s3-fast-st-d",
             Some(&vc),
+            &Telemetry::disabled(),
         );
         assert_eq!(second.as_ref(), Some(&first));
 
@@ -1137,7 +613,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let telemetry = Telemetry::enabled();
-        let (first, _) = compile_cached_verified_traced(
+        let (first, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1150,7 +626,7 @@ mod tests {
         assert_eq!(telemetry.counter_value("bench.cache_hits"), None);
         assert!(first.report().is_some(), "fresh compiles carry a report");
 
-        let (second, _) = compile_cached_verified_traced(
+        let (second, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1184,7 +660,7 @@ mod tests {
         let program = sample_program();
         let cfg = PipelineConfig::fast();
         let telemetry = Telemetry::enabled();
-        let (first, _) = compile_cached_verified_traced(
+        let (first, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1200,14 +676,19 @@ mod tests {
         // Rewrite the committed entry as if an older binary had
         // written it: same well-formed payload, previous schema
         // version.
-        let cache = SharedCache::open(Path::new(CACHE_ROOT), &telemetry).unwrap();
-        let path = cache.entry_path_for("t", Technique::OptiMap, "skew", fingerprint(&program));
+        let path = entry_path(
+            Path::new(CACHE_ROOT),
+            "t",
+            Technique::OptiMap,
+            "skew",
+            fingerprint(&program),
+        );
         let payload = geyser::store::read_record_file(&path).unwrap();
         let mut entry: CachedCompile = serde_json::from_str(payload.text()).unwrap();
         entry.version = CACHE_VERSION - 1;
         write_record_atomic(&path, &serde_json::to_string(&entry).unwrap()).unwrap();
 
-        let (second, _) = compile_cached_verified_traced(
+        let (second, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1230,7 +711,7 @@ mod tests {
 
         // The recompile rewrote a current-version entry: clean hit,
         // no further version misses.
-        let (_, _) = compile_cached_verified_traced(
+        let (_, _) = compile_cached(
             "t",
             &program,
             Technique::OptiMap,
@@ -1256,8 +737,25 @@ mod tests {
 
         let program = sample_program();
         let cfg = PipelineConfig::fast();
-        let first = compile_cached("t", &program, Technique::OptiMap, &cfg, "test");
-        let second = compile_cached("t", &program, Technique::OptiMap, &cfg, "test");
+        let telemetry = Telemetry::disabled();
+        let (first, _) = compile_cached(
+            "t",
+            &program,
+            Technique::OptiMap,
+            &cfg,
+            "test",
+            None,
+            &telemetry,
+        );
+        let (second, _) = compile_cached(
+            "t",
+            &program,
+            Technique::OptiMap,
+            &cfg,
+            "test",
+            None,
+            &telemetry,
+        );
         assert_eq!(first.total_pulses(), second.total_pulses());
         assert!(dir.join(CACHE_ROOT).join(CACHE_OBJECTS_DIR).exists());
 
@@ -1285,8 +783,15 @@ mod tests {
                         let mut last = 0;
                         for round in 0..3 {
                             let tag = format!("race-{round}");
-                            let compiled =
-                                compile_cached("t", &program, Technique::OptiMap, &cfg, &tag);
+                            let (compiled, _) = compile_cached(
+                                "t",
+                                &program,
+                                Technique::OptiMap,
+                                &cfg,
+                                &tag,
+                                None,
+                                &Telemetry::disabled(),
+                            );
                             last = compiled.total_pulses();
                         }
                         last
@@ -1297,15 +802,56 @@ mod tests {
         });
         assert_eq!(pulses[0], pulses[1], "both writers see the same result");
 
-        let obs = scan_generation(Path::new(CACHE_ROOT), 1_000);
-        assert!(obs.generation_parses);
-        assert_eq!(obs.corrupt_in_place, 0, "no torn entries");
-        assert_eq!(obs.entries_beyond_generation, 0);
-        assert_eq!(sidecars_under(Path::new(CACHE_ROOT)), 0);
-        assert!(
-            geyser_verify::check_cache_generation(&obs).is_empty(),
-            "concurrent sharing must leave a coherent store"
+        // One whole, framed entry per tag: no torn file, no sidecar,
+        // no temp file left behind.
+        let files = walk_files(&Path::new(CACHE_ROOT).join(CACHE_OBJECTS_DIR)).unwrap();
+        assert_eq!(files.len(), 3, "one entry per tag: {files:?}");
+        for path in &files {
+            let payload = read_record_file(path).expect("entry reads back whole");
+            assert!(payload.is_framed());
+        }
+
+        std::env::set_current_dir(old).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cached_compile_never_deletes_a_peers_in_flight_write() {
+        let _cwd = CWD_LOCK.lock().unwrap();
+        let dir = temp_root("peer");
+        let _ = std::fs::create_dir_all(&dir);
+        let old = std::env::current_dir().unwrap();
+        std::env::set_current_dir(&dir).unwrap();
+
+        // A peer process has staged a cache entry and a composition
+        // checkpoint in the shared store but not yet renamed either
+        // into place.
+        let root = Path::new(CACHE_ROOT);
+        let entry = entry_path(root, "peer", Technique::Baseline, "peer", 7);
+        let staged_entry = stage_write(&entry, b"entry").unwrap();
+        let checkpoint = root.join("ckpt-peer-geyser-peer.json");
+        let staged_checkpoint = stage_write(&checkpoint, b"checkpoint").unwrap();
+
+        let program = sample_program();
+        let cfg = PipelineConfig::fast();
+        compile_cached(
+            "t",
+            &program,
+            Technique::Baseline,
+            &cfg,
+            "peer",
+            None,
+            &Telemetry::disabled(),
         );
+
+        staged_entry
+            .commit()
+            .expect("the peer's cache entry commits");
+        staged_checkpoint
+            .commit()
+            .expect("the peer's checkpoint commits");
+        assert_eq!(std::fs::read(&entry).unwrap(), b"entry");
+        assert_eq!(std::fs::read(&checkpoint).unwrap(), b"checkpoint");
 
         std::env::set_current_dir(old).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

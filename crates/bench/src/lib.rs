@@ -88,11 +88,10 @@ pub mod exit_codes;
 
 use std::collections::BTreeMap;
 
+use cache::compile_cached;
 pub use cache::{
-    classify_cache_payload, compile_cached, compile_cached_verified,
-    compile_cached_verified_traced, scan_generation, CachePayloadStatus, CompactionOutcome,
-    SharedCache, CACHE_COMPACTION_LOCK, CACHE_GENERATION_FILE, CACHE_LOCK_STALE_MS,
-    CACHE_OBJECTS_DIR, CACHE_ROOT, CACHE_VERSION_MISS_COUNTER,
+    classify_cache_payload, CachePayloadStatus, CACHE_OBJECTS_DIR, CACHE_ROOT,
+    CACHE_VERSION_MISS_COUNTER,
 };
 use geyser::{
     CompileReport, CompiledCircuit, FaultInjector, FaultSpecError, HardwareSpec, MetricsSnapshot,
@@ -574,21 +573,15 @@ pub fn compile_techniques(
             techniques
                 .iter()
                 .map(|&t| {
-                    if !faults.is_empty() {
+                    if bypass_cache {
                         let c = PassManager::for_technique(t)
                             .with_faults(faults.clone())
                             .with_telemetry(cli.telemetry.clone())
                             .run(program, cfg)
                             .unwrap_or_else(|e| panic!("{e}"));
                         (t, c, None)
-                    } else if bypass_cache {
-                        let c = PassManager::for_technique(t)
-                            .with_telemetry(cli.telemetry.clone())
-                            .run(program, cfg)
-                            .unwrap_or_else(|e| panic!("{e}"));
-                        (t, c, None)
                     } else {
-                        let (c, stats) = compile_cached_verified_traced(
+                        let (c, stats) = compile_cached(
                             name,
                             program,
                             t,

@@ -8,8 +8,9 @@
 //!   write (`<name>.<pid>-<n>.tmp`, see [`stage_write`]) and committed
 //!   by an atomic rename, so concurrent writers of one path never
 //!   rename each other's temp files and a crash leaves either the old
-//!   or the new file plus, at worst, a stale `.tmp`
-//!   ([`clean_stale_tmp`]).
+//!   or the new file plus, at worst, a stale `.tmp`. No store sweeps
+//!   temp files on open, since one may be a concurrent writer's
+//!   in-flight write; `repair --prune` reclaims them.
 //! * **Loads** read the bytes once, verify the frame, run the store's
 //!   own schema parse, and quarantine the file on either failure
 //!   under the FNV-1a digest of the file bytes
@@ -56,10 +57,6 @@ pub const RECORD_MAGIC: &str = "GEYSREC1";
 /// Telemetry counter bumped once per corrupt store file detected
 /// (all store kinds combined; see [`store_corrupt_kind_counter`]).
 pub const STORE_CORRUPT_COUNTER: &str = "store_corrupt_total";
-
-/// Telemetry counter bumped once per stale `.tmp` file removed at
-/// store open (a write that was killed between temp-write and rename).
-pub const STORE_STALE_TMP_CLEANED_COUNTER: &str = "store_stale_tmp_cleaned_total";
 
 /// The per-kind companion of [`STORE_CORRUPT_COUNTER`]: corruption
 /// telemetry tagged by *which* store is rotting. The label is the
@@ -216,31 +213,6 @@ pub fn decode_record(bytes: &[u8]) -> Result<RecordPayload, RecordError> {
         .map_err(|_| RecordError::BadPayload)
 }
 
-/// Removes stale `*.tmp` files directly under `dir` — writes that
-/// were killed between temp-write and rename. A missing or unreadable
-/// directory cleans nothing; stores call this at open so crash litter
-/// never accumulates. See [`remove_stale_tmp`].
-pub fn clean_stale_tmp(dir: &Path, telemetry: &Telemetry) -> usize {
-    let children: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries.flatten().map(|e| e.path()).collect(),
-        Err(_) => Vec::new(),
-    };
-    remove_stale_tmp(&children, telemetry)
-}
-
-/// Removes the `*.tmp` files among `paths` and bumps
-/// [`STORE_STALE_TMP_CLEANED_COUNTER`] per file removed.
-pub fn remove_stale_tmp(paths: &[PathBuf], telemetry: &Telemetry) -> usize {
-    let cleaned = paths
-        .iter()
-        .filter(|p| is_tmp(p) && p.is_file() && std::fs::remove_file(p).is_ok())
-        .count();
-    if cleaned > 0 {
-        telemetry.counter_add(STORE_STALE_TMP_CLEANED_COUNTER, cleaned as u64);
-    }
-    cleaned
-}
-
 /// Whether a path names a staged write's temp file (see
 /// [`stage_write`]).
 pub fn is_tmp(path: &Path) -> bool {
@@ -382,8 +354,8 @@ pub fn quarantine_corrupt(
 /// A write staged to a temp sibling of its destination and not yet
 /// visible under the destination's name. [`StagedWrite::commit`]
 /// publishes it; dropping it uncommitted leaves the temp file behind
-/// exactly as a kill between write and rename would (the crash hooks
-/// rely on that), for [`clean_stale_tmp`] to sweep.
+/// exactly as a kill between write and rename would, for
+/// `repair --prune` to reclaim.
 #[derive(Debug)]
 #[must_use = "a staged write is invisible until committed"]
 pub struct StagedWrite {
@@ -427,7 +399,7 @@ pub fn stage_write(path: &Path, bytes: &[u8]) -> std::io::Result<StagedWrite> {
 /// Writes a framed record crash-safely: [`stage_write`] the encoded
 /// record, then commit it over `path`. A kill mid-write leaves the
 /// previous record intact; a kill between write and rename leaves a
-/// stale `.tmp` for [`clean_stale_tmp`].
+/// stale `.tmp` for `repair --prune` to reclaim.
 pub fn write_record_atomic(path: &Path, payload: &str) -> std::io::Result<()> {
     stage_write(path, encode_record(payload).as_bytes())?.commit()
 }
@@ -661,32 +633,6 @@ mod tests {
             None
         );
         let _ = std::fs::remove_file(corrupt_sidecar_path(&path, fnv1a_bytes(b"garbage")));
-    }
-
-    #[test]
-    fn stale_tmp_files_are_cleaned_and_counted() {
-        let dir =
-            std::env::temp_dir().join(format!("geyser-store-tmpclean-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("entry.json"), "keep").unwrap();
-        std::fs::write(dir.join("entry.json.tmp"), "stale").unwrap();
-        std::fs::write(dir.join("other.tmp"), "stale").unwrap();
-        let telemetry = Telemetry::enabled();
-        assert_eq!(clean_stale_tmp(&dir, &telemetry), 2);
-        assert!(dir.join("entry.json").exists());
-        assert!(!dir.join("entry.json.tmp").exists());
-        assert_eq!(
-            telemetry.counter_value(STORE_STALE_TMP_CLEANED_COUNTER),
-            Some(2)
-        );
-        // A second sweep is a no-op and does not bump the counter.
-        assert_eq!(clean_stale_tmp(&dir, &telemetry), 0);
-        assert_eq!(
-            telemetry.counter_value(STORE_STALE_TMP_CLEANED_COUNTER),
-            Some(2)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -242,8 +242,8 @@ pub fn composition_config_hash(cfg: &CompositionConfig) -> u64 {
 /// Writes the checkpoint crash-safely as a framed record (length
 /// prefix + FNV checksum) through [`write_record_atomic`]: a crash
 /// mid-write leaves the previous checkpoint intact; a crash between
-/// write and rename leaves a stale `.tmp` that the next store open
-/// sweeps; a torn rename target fails the frame check on load.
+/// write and rename leaves a stale `.tmp` for `repair --prune` to
+/// reclaim; a torn rename target fails the frame check on load.
 pub fn write_checkpoint_atomic(path: &Path, checkpoint: &Checkpoint) -> std::io::Result<()> {
     let body = serde_json::to_string(checkpoint)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;

@@ -23,18 +23,10 @@
 //!    store file either parses or was quarantined to a
 //!    `.corrupt-<digest>` sidecar; no corrupt file was left in place.
 //!
-//! A shared-cache leg crashes a compaction mid-commit and holds the
-//! compile cache to one more, checked by [`check_cache_generation`]:
-//!
-//! 6. [`ChaosInvariant::CacheGenerationCoherent`] — after concurrent
-//!    (or killed) compactions, the shared cache's generation header
-//!    parses, no entry is torn across generations, and no stale
-//!    compaction lock outlives its holder.
-//!
 //! Campaigns that compile with the composition-reuse index enabled
 //! hold the reuse layer to one more, checked by [`check_reuse`]:
 //!
-//! 7. [`ChaosInvariant::ReuseVerified`] — every replayed (reused)
+//! 6. [`ChaosInvariant::ReuseVerified`] — every replayed (reused)
 //!    composition went back through the ε re-verification gate, and
 //!    any compile that replayed cached compositions still passes the
 //!    equivalence oracle. A stale or poisoned store entry may cost a
@@ -58,9 +50,6 @@ pub enum ChaosInvariant {
     /// Every store file parses or was quarantined; none was left
     /// corrupt in place.
     StoreParsesOrQuarantined,
-    /// The shared cache's generation state stayed coherent through
-    /// concurrent and killed compactions.
-    CacheGenerationCoherent,
     /// Every reused composition passed back through the ε
     /// re-verification gate, and reuse-assisted compiles still pass
     /// the equivalence oracle.
@@ -77,7 +66,6 @@ impl ChaosInvariant {
             ChaosInvariant::VerifiedEquivalent => "verified-equivalent",
             ChaosInvariant::ResumeBitIdentical => "resume-bit-identical",
             ChaosInvariant::StoreParsesOrQuarantined => "store-parses-or-quarantined",
-            ChaosInvariant::CacheGenerationCoherent => "cache-generation-coherent",
             ChaosInvariant::ReuseVerified => "reuse-verified",
         }
     }
@@ -246,64 +234,6 @@ pub fn check_campaign_jobs(submitted: u64, jobs: &[JobObservation]) -> Vec<Invar
     violations
 }
 
-/// How the shared compile cache's generation state scanned after a
-/// campaign of concurrent / killed compactions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheGenerationObservation {
-    /// Whether the generation header file parsed as a framed record
-    /// with a positive generation number.
-    pub generation_parses: bool,
-    /// The generation number read (0 when unparseable).
-    pub generation: u64,
-    /// Cache entries found corrupt in place (not quarantined).
-    pub corrupt_in_place: u64,
-    /// Entries stamped with a generation *newer* than the header —
-    /// a torn compaction mixed two generations.
-    pub entries_beyond_generation: u64,
-    /// Whether a compaction lock file survived with no live holder.
-    pub stale_lock: bool,
-}
-
-/// Checks the shared-cache coherence invariant (6) over a
-/// post-campaign generation scan.
-pub fn check_cache_generation(obs: &CacheGenerationObservation) -> Vec<InvariantViolation> {
-    let mut violations = Vec::new();
-    if !obs.generation_parses || obs.generation == 0 {
-        violations.push(InvariantViolation::new(
-            ChaosInvariant::CacheGenerationCoherent,
-            format!(
-                "cache generation header unreadable (parses={}, generation={})",
-                obs.generation_parses, obs.generation
-            ),
-        ));
-    }
-    if obs.corrupt_in_place > 0 {
-        violations.push(InvariantViolation::new(
-            ChaosInvariant::CacheGenerationCoherent,
-            format!(
-                "{} cache entr(ies) corrupt in place after compaction",
-                obs.corrupt_in_place
-            ),
-        ));
-    }
-    if obs.entries_beyond_generation > 0 {
-        violations.push(InvariantViolation::new(
-            ChaosInvariant::CacheGenerationCoherent,
-            format!(
-                "{} entr(ies) stamped beyond the committed generation — torn compaction",
-                obs.entries_beyond_generation
-            ),
-        ));
-    }
-    if obs.stale_lock {
-        violations.push(InvariantViolation::new(
-            ChaosInvariant::CacheGenerationCoherent,
-            "a compaction lock survived with no live holder".to_string(),
-        ));
-    }
-    violations
-}
-
 /// What one reuse-enabled compile looked like after it drained — a
 /// plain-data mirror of the pipeline's `ReuseStats` plus the oracle's
 /// verdict on the finished circuit (this crate sits below the reuse
@@ -324,7 +254,7 @@ pub struct ReuseObservation {
     pub verified_equivalent: Option<bool>,
 }
 
-/// Checks the reuse invariant (7) over one reuse-enabled compile.
+/// Checks the reuse invariant (6) over one reuse-enabled compile.
 pub fn check_reuse(obs: &ReuseObservation) -> Vec<InvariantViolation> {
     let mut violations = Vec::new();
     if obs.unverified_replays > 0 {
@@ -458,42 +388,6 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "store-parses-or-quarantined");
         assert!(v[0].detail.contains("ckpt-ghz.json"));
-    }
-
-    fn coherent_cache() -> CacheGenerationObservation {
-        CacheGenerationObservation {
-            generation_parses: true,
-            generation: 3,
-            corrupt_in_place: 0,
-            entries_beyond_generation: 0,
-            stale_lock: false,
-        }
-    }
-
-    #[test]
-    fn coherent_cache_generation_has_no_violations() {
-        assert!(check_cache_generation(&coherent_cache()).is_empty());
-    }
-
-    #[test]
-    fn incoherent_cache_generation_is_flagged_per_symptom() {
-        let mut bad = coherent_cache();
-        bad.generation_parses = false;
-        bad.generation = 0;
-        bad.corrupt_in_place = 2;
-        bad.entries_beyond_generation = 1;
-        bad.stale_lock = true;
-        let v = check_cache_generation(&bad);
-        assert_eq!(v.len(), 4);
-        assert!(v.iter().all(|x| x.invariant == "cache-generation-coherent"));
-    }
-
-    #[test]
-    fn cache_generation_label_is_stable() {
-        assert_eq!(
-            ChaosInvariant::CacheGenerationCoherent.label(),
-            "cache-generation-coherent"
-        );
     }
 
     #[test]

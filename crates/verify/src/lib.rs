@@ -28,9 +28,8 @@ pub mod quarantine;
 
 pub use fuzz::{derive_seed, generate_case, generate_cases, FuzzCase, FuzzOptions};
 pub use invariants::{
-    check_cache_generation, check_campaign_jobs, check_reuse, check_store_scan,
-    CacheGenerationObservation, ChaosInvariant, InvariantViolation, JobObservation,
-    ReuseObservation, StoreFileObservation, StoreFileStatus,
+    check_campaign_jobs, check_reuse, check_store_scan, ChaosInvariant, InvariantViolation,
+    JobObservation, ReuseObservation, StoreFileObservation, StoreFileStatus,
 };
 pub use minimize::{minimize, MinimizeStats};
 pub use oracle::{
