@@ -18,10 +18,20 @@ struct Row {
     metrics: BTreeMap<String, f64>,
 }
 
-fn render_table(rows: &[Row]) -> String {
+/// Renders the rows as markdown, one table per run of consecutive rows
+/// sharing a metric set (a file such as `ablations.json` holds several
+/// studies with different columns).
+fn render_tables(rows: &[Row]) -> String {
     if rows.is_empty() {
         return "(no data recorded)\n".to_string();
     }
+    rows.chunk_by(|a, b| a.metrics.keys().eq(b.metrics.keys()))
+        .map(render_table)
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+fn render_table(rows: &[Row]) -> String {
     let metric_names: Vec<&String> = rows[0].metrics.keys().collect();
     let mut out = String::new();
     let _ = write!(out, "| workload | technique |");
@@ -90,7 +100,7 @@ fn main() {
         let content_start = start + marker.len();
         let rest = &doc[content_start..];
         let end = rest.find("\n## ").map_or(doc.len(), |p| content_start + p);
-        let replacement = format!("\n\n{}", render_table(&rows));
+        let replacement = format!("\n\n{}", render_tables(&rows));
         doc.replace_range(content_start..end, &replacement);
         rendered += 1;
     }

@@ -49,11 +49,15 @@ struct CachedStats {
 
 /// On-disk schema version. Bumped to 2 when entries started binding to
 /// a hardware-spec digest, to 3 when entries moved to the
-/// content-addressed layout, and to 4 when entries stopped carrying a
-/// store generation. Older entries degrade to a cache miss instead of
-/// silently replaying results compiled for a different machine or
-/// schema.
-const CACHE_VERSION: u64 = 4;
+/// content-addressed layout, to 4 when entries stopped carrying a
+/// store generation, and to 5 when the composition search dropped the
+/// annealer's Nelder–Mead polish. The key (name, technique, cfg tag,
+/// fingerprint) does not identify the search, so a change to the
+/// search's trajectories needs a bump too, or a warm cache keeps
+/// serving the old search's circuits. Older entries degrade to a cache
+/// miss instead of silently replaying results compiled for a different
+/// machine, schema or search.
+const CACHE_VERSION: u64 = 5;
 
 /// Default cache root, relative to the working directory (matching the
 /// composition checkpoints that live beside it).

@@ -670,9 +670,10 @@ fn search_all_layers(
 ///
 /// Hybrid strategy:
 /// 1. **Global**: dual annealing over the full vector, categorical
-///    included (the paper's optimizer).
+///    included (the paper's optimizer), without its Nelder–Mead polish.
 /// 2. **Refine**: Adam descent on the continuous angles from the best
-///    annealing iterate (its categorical held fixed).
+///    annealing iterate (its categorical held fixed) — the search's
+///    only local phase.
 /// 3. **Multi-start**: Adam from seeded random starts, sweeping the
 ///    categorical combinations — annealing's decode first, then
 ///    all-CCZ, then the rest. Starts of combinations `cert` rules out
@@ -704,13 +705,18 @@ fn search_layer(
     // near-miss reuse hit at this depth seeds the chain from the
     // cached parameters with a reduced iteration budget: if the cached
     // optimum is close, the chain converges almost immediately; if
-    // not, the refine/multi-start phases below run as usual.
-    let mut da_cfg = DualAnnealingConfig::default()
-        .with_seed(base_seed)
-        .with_max_iters(config.anneal_iters)
-        .with_target(config.epsilon * 0.5)
-        .with_deadline(config.deadline)
-        .with_cancel(cancel.clone());
+    // not, the refine/multi-start phases below run as usual. No
+    // Nelder–Mead polish: phase 2's exact-gradient Adam is the local
+    // phase, as a gradient method is in SciPy's `dual_annealing`.
+    let mut da_cfg = DualAnnealingConfig {
+        polish: false,
+        ..DualAnnealingConfig::default()
+    }
+    .with_seed(base_seed)
+    .with_max_iters(config.anneal_iters)
+    .with_target(config.epsilon * 0.5)
+    .with_deadline(config.deadline)
+    .with_cancel(cancel.clone());
     if let Some((hint, warm_layers)) = warm {
         if warm_layers == layers && hint.len() == ansatz.num_params() {
             if !trace.warm_applied {
@@ -1571,7 +1577,10 @@ mod tests {
     /// must keep the exact annealer evaluation count, outcome,
     /// accepted-HSD bits, pulses and Adam call count — any drift in
     /// the objective's or the gradient's floating point shows up here
-    /// as a different trajectory. The certificate's prunes are pinned
+    /// as a different trajectory. The annealer runs without its
+    /// Nelder–Mead polish, so Adam is the only local phase: its calls
+    /// pin the refine and multi-start trajectories, and the annealer
+    /// counts pin the chain alone. The certificate's prunes are pinned
     /// too: dressed-cz-pair has no combination that reaches ε at one
     /// layer, so that depth is never searched, and each block skips
     /// one multi-start run of a ruled-out combination.
@@ -1594,33 +1603,33 @@ mod tests {
             (
                 "decomposed-ccz",
                 decomposed_ccz(),
-                15384,
+                5762,
                 "composed/2",
-                0x3cd6000000000000,
+                0x3f3aa5fbc479a800,
                 17,
-                1252,
+                1489,
                 0,
                 1,
             ),
             (
                 "dressed-ccz",
                 dressed_ccz(),
-                5852,
+                2281,
                 "composed/1",
                 0x3f3f4b6e60aaf800,
                 11,
-                782,
+                932,
                 0,
                 1,
             ),
             (
                 "dressed-cz-pair",
                 dressed_cz_pair(),
-                6644,
+                3481,
                 "non-convergence",
                 0,
                 16,
-                1252,
+                1402,
                 1,
                 1,
             ),
@@ -1653,6 +1662,39 @@ mod tests {
             assert_eq!(counter("compose.pruned_depths"), pruned_depths, "{name}");
             assert_eq!(counter("compose.pruned_starts"), pruned_starts, "{name}");
         }
+    }
+
+    /// A depth that never reaches ε runs the annealing chain to its
+    /// iteration cap and nothing more: one initial evaluation plus
+    /// `2·dim` moves per temperature step. A Nelder–Mead polish (or any
+    /// other local phase inside the annealer) would add evaluations.
+    #[test]
+    fn non_converging_depth_spends_only_the_annealing_chain() {
+        let cfg = CompositionConfig::fast();
+        let dim = Ansatz::new(2).num_params() as u64;
+        let chain = 1 + cfg.anneal_iters as u64 * 2 * dim;
+        assert_eq!(chain, 3481);
+        let telemetry = Telemetry::enabled();
+        let res = compose_block_inner(
+            &dressed_cz_pair(),
+            &cfg,
+            false,
+            &CancelToken::none(),
+            &telemetry,
+        );
+        assert_eq!(
+            res.outcome,
+            BlockOutcome::FellBack {
+                reason: FallbackReason::NonConvergence
+            }
+        );
+        // Depth 1 is pruned by the certificate, so depth 2 is the one
+        // annealed search.
+        assert_eq!(telemetry.counter_value("compose.pruned_depths"), Some(1));
+        assert_eq!(
+            telemetry.counter_value("compose.anneal_evaluations"),
+            Some(chain)
+        );
     }
 
     /// `CZ(0,1)` then `CZ(1,2)` between generic U3 walls: 15 pulses,

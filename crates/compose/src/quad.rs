@@ -133,7 +133,11 @@ pub struct QuadAttempt {
 /// Attempts to compose a 16×16 target with the four-qubit ansatz at a
 /// fixed layer count — the measurement backing the paper's Fig. 7
 /// argument. Uses the same dual-annealing engine and budget semantics
-/// as the production three-qubit composer.
+/// as the production three-qubit composer, but keeps the annealer's
+/// Nelder–Mead polish, which the composer turns off (its only local
+/// phase is Adam on the exact adjoint gradient): ablation 4 measures
+/// this engine's evaluations, and they must not move with the
+/// composer's search.
 ///
 /// # Panics
 ///

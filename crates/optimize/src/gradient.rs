@@ -2,10 +2,11 @@
 //!
 //! Unitary-synthesis objectives (Hilbert–Schmidt distances of smooth
 //! gate parameterizations) are infinitely differentiable, which makes
-//! first-order descent the most reliable local refiner — it is used
-//! here to polish dual-annealing iterates and as a multi-start local
-//! searcher in its own right. Callers with an exact gradient pass it
-//! directly; [`central_difference`] adapts a value-only objective.
+//! first-order descent the most reliable local refiner — block
+//! composition uses it as the one local phase after dual annealing and
+//! as a multi-start local searcher in its own right. Callers with an
+//! exact gradient pass it directly; [`central_difference`] adapts a
+//! value-only objective.
 
 use crate::{Bounds, CancelToken, Deadline, OptimizeResult};
 

@@ -7,9 +7,10 @@
 //!
 //! * [`dual_annealing`] — generalized simulated annealing (Tsallis
 //!   statistics: distorted-Cauchy visiting distribution and
-//!   generalized acceptance) with periodic reannealing and a
+//!   generalized acceptance) with periodic reannealing and an optional
 //!   Nelder–Mead local-search polish, mirroring the structure of
-//!   Xiang et al.'s dual annealing.
+//!   Xiang et al.'s dual annealing. Block composition turns the polish
+//!   off and refines with [`adam`] instead.
 //! * [`nelder_mead`] — bounded Nelder–Mead simplex search, used both
 //!   as the polish phase and standalone.
 //! * [`adam`] — bounded Adam descent on a value-and-gradient objective;
