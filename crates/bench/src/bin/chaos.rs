@@ -1,24 +1,18 @@
-//! Chaos campaign harness for the supervised runtime.
+//! Chaos campaign harness for the compile pipeline.
 //!
 //! Usage: `chaos --seed S --campaigns N [--fast] [--workloads a,b]
-//! [--watchdog-ms MS] [--max-retries R] [--inject EXTRA] [--json PATH]`
+//! [--inject EXTRA] [--json PATH]`
 //!
 //! Each campaign derives a private seed from the master seed, draws a
-//! randomized fault schedule (composed `--inject` tokens: pass panics,
-//! hangs, kill-after-block, checkpoint corruption, budget squeezes)
-//! plus optional harness-driven cancellation storms, throws it at a
-//! fresh supervised runtime with the hung-worker watchdog armed, and
+//! randomized fault schedule from a menu of `--inject` tokens (clean,
+//! a pass panic, a forced composition timeout), compiles one small
+//! workload with every technique through a plain [`PassManager`], and
 //! then machine-checks the global invariants from
 //! [`geyser_verify::invariants`]:
 //!
-//! 1. no submitted job is silently lost;
-//! 2. every terminal job is classified (circuit iff success, typed
-//!    error iff not);
-//! 3. every successful compile passes the equivalence oracle;
-//! 4. every checkpoint resume is bit-identical to an uninterrupted
-//!    run;
-//! 5. every surviving store file parses or was quarantined to a
-//!    `.corrupt-<digest>` sidecar.
+//! 1. every successful compile passes the equivalence oracle — a
+//!    fault may cost a typed error or a fallback block, never
+//!    correctness.
 //!
 //! After the fault campaigns, a **reuse leg** seeds a
 //! composition-reuse store with a structured (fixed-angle QAOA)
@@ -27,7 +21,7 @@
 //! and recompiles twice — once clean, once under the composed
 //! `--inject` spec:
 //!
-//! 6. every replayed composition is re-verified against ε and the
+//! 2. every replayed composition is re-verified against ε and the
 //!    compiled circuit passes the equivalence oracle — the clean
 //!    recompile must bounce every doctored entry off the ε gate, and
 //!    a planted `reuse-poison,reuse-skip-verify` fault must be caught
@@ -37,8 +31,9 @@
 //! campaign count replay the same schedules, job outcomes, and
 //! scorecard. An extra `--inject SPEC` is composed into every
 //! campaign's schedule — `--inject miscompile:0` is the standard
-//! planted-bug check that the harness really fails (invariant 3,
-//! exit 5) when the compiler lies.
+//! planted-bug check that the harness really fails (invariant 1,
+//! exit 5) when the compiler lies. The reuse leg alone does not catch
+//! it, so the campaigns are what keep that check honest.
 //!
 //! Exits 0 with a scorecard (stdout summary, full JSON via `--json`)
 //! when every invariant held, or prints each violation and exits
@@ -46,95 +41,36 @@
 
 use std::path::{Path, PathBuf};
 
-use geyser::store::{is_corrupt_sidecar, read_record_file, walk_files, write_record_atomic};
-use geyser::{splitmix64, verify_compiled, FaultInjector, PassManager, Technique, Telemetry};
+use geyser::store::{read_record_file, walk_files, write_record_atomic};
+use geyser::{splitmix64, verify_compiled, FaultInjector, PassManager, Technique};
 use geyser_bench::{exit_codes, report_json, Cli};
-use geyser_circuit::Circuit;
 use geyser_compose::Ansatz;
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, ReuseStats};
-use geyser_supervisor::{
-    load_checkpoint, run_supervised_compile, CheckpointError, JobSpec, JobState, RetryPolicy,
-    SupervisedCompileOptions, Supervisor, SupervisorConfig, WatchdogConfig,
-};
 use geyser_verify::{
-    check_campaign_jobs, check_reuse, check_store_scan, ChaosInvariant, InvariantViolation,
-    JobObservation, ReuseObservation, StoreFileObservation, StoreFileStatus, VerifyConfig,
+    check_campaign_jobs, check_reuse, ChaosInvariant, InvariantViolation, JobObservation,
+    ReuseObservation, VerifyConfig,
 };
 use serde::Serialize;
 
-/// Where campaign workdirs (checkpoints, quarantine sidecars) live.
+/// Where the reuse leg's store lives.
 const CHAOS_ROOT: &str = ".geyser-chaos";
 
-/// Deterministic per-campaign generator: chained [`splitmix64`]
-/// outputs.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = splitmix64(self.0);
-        self.0
-    }
-
-    fn pick(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// One campaign's drawn schedule: the fault spec composed into every
-/// job plus whether the harness cancels the last submitted job.
-struct Schedule {
-    /// `--inject`-syntax fault spec ("" = clean campaign).
-    spec: String,
-    /// Cancel the last submitted job right after submission
-    /// (cancellation storm).
-    storm: bool,
-}
-
-/// Draws one schedule from the campaign's seed stream. The menu only
-/// contains faults the runtime promises to absorb — a violated
-/// invariant is therefore always a runtime bug (or a deliberately
+/// Draws one campaign's fault spec from its seed. The menu only
+/// contains faults the pipeline promises to absorb — a violated
+/// invariant is therefore always a pipeline bug (or a deliberately
 /// planted one via the extra spec), never an expected outcome.
-fn draw_schedule(rng: &mut Rng) -> Schedule {
-    let (mut tokens, storm): (Vec<String>, bool) = match rng.pick(7) {
-        0 => (vec![], false),
-        1 => (vec!["pass-panic-once:block".into()], false),
-        2 => (vec!["pass-panic:block".into()], false),
-        3 => (vec!["hang-pass:block".into()], false),
-        4 => (vec!["kill-after-block:1".into()], false),
-        5 => (
-            vec!["checkpoint-corrupt".into(), "kill-after-block:1".into()],
-            false,
-        ),
-        _ => (vec![], true),
-    };
-    // A budget squeeze composes with anything that still lets the
-    // compile make progress (the degraded fallback path is exactly
-    // what it stresses).
-    if !storm && rng.pick(3) == 0 {
-        tokens.push("compose-timeout".into());
-    }
-    Schedule {
-        spec: tokens.join(","),
-        storm,
-    }
+fn draw_schedule(seed: u64) -> &'static str {
+    ["", "pass-panic:block", "compose-timeout"][(splitmix64(seed) % 3) as usize]
 }
 
-/// Composes the drawn schedule with the user's extra `--inject` spec.
-fn composed_faults(schedule: &Schedule, extra: Option<&str>) -> FaultInjector {
-    let spec = match (schedule.spec.as_str(), extra) {
-        ("", None) => String::new(),
-        ("", Some(e)) => e.to_string(),
-        (s, None) => s.to_string(),
-        (s, Some(e)) => format!("{s},{e}"),
-    };
-    if spec.is_empty() {
-        FaultInjector::none()
-    } else {
-        FaultInjector::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("error: composed fault spec '{spec}': {e}");
-            std::process::exit(exit_codes::USAGE);
-        })
-    }
+/// Composes the drawn schedule with the user's extra `--inject` spec
+/// (empty tokens parse to nothing, so either side may be empty).
+fn composed_faults(schedule: &str, extra: Option<&str>) -> FaultInjector {
+    let spec = format!("{schedule},{}", extra.unwrap_or(""));
+    FaultInjector::parse(&spec).unwrap_or_else(|e| {
+        eprintln!("error: composed fault spec '{spec}': {e}");
+        std::process::exit(exit_codes::USAGE);
+    })
 }
 
 /// Everything one campaign produced, scorecard-ready.
@@ -144,14 +80,11 @@ struct CampaignCard {
     seed: u64,
     workload: String,
     inject: String,
-    storm: bool,
-    submitted: u64,
     jobs: Vec<JobObservation>,
-    store: Vec<StoreFileObservation>,
     violations: Vec<InvariantViolation>,
 }
 
-/// The composition-reuse leg (invariant 6: `reuse-verified`): a
+/// The composition-reuse leg (invariant 2: `reuse-verified`): a
 /// doctored store's bogus composed entries must bounce off the ε
 /// re-verification gate on a clean recompile, and escape — tripping
 /// the invariant — only under the injected `reuse-skip-verify` fault.
@@ -177,106 +110,10 @@ struct ReuseLegCard {
 struct Scorecard {
     seed: u64,
     campaigns: Vec<CampaignCard>,
-    /// The composition-reuse leg (invariant 6).
+    /// The composition-reuse leg (invariant 2).
     reuse: ReuseLegCard,
-    total_jobs: u64,
-    hang_preemptions: u64,
-    store_corrupt_total: u64,
-    retries: u64,
+    total_jobs: usize,
     violations_total: usize,
-}
-
-fn retry_policy(cli: &Cli, seed: u64) -> RetryPolicy {
-    RetryPolicy {
-        // Transient faults (panic-once, preempted hangs) need at
-        // least one retry to demonstrate recovery.
-        max_retries: cli.max_retries.max(2),
-        base_backoff_ms: 1,
-        max_backoff_ms: 4,
-        seed,
-    }
-}
-
-fn supervisor_config(cli: &Cli, seed: u64, queue: usize) -> SupervisorConfig {
-    SupervisorConfig {
-        // One worker keeps job interleaving — and therefore the
-        // scorecard — a pure function of the seed.
-        workers: 1,
-        queue_capacity: queue.max(1),
-        retry: retry_policy(cli, seed),
-        // Healthy compiles beat at every pass boundary and after
-        // every composed block; injected hangs never beat at all. The
-        // slowest single block in the chaos pool takes well under two
-        // seconds even in a debug build, so an 8-second default
-        // separates the two with a wide margin on any machine.
-        watchdog: Some(WatchdogConfig {
-            hang_timeout_ms: cli.watchdog_ms.unwrap_or(8_000),
-            ..WatchdogConfig::default()
-        }),
-        ..SupervisorConfig::default()
-    }
-}
-
-/// Turns one drained job result into the plain-data observation the
-/// invariant checks consume, verifying successful compiles against
-/// the original program.
-fn observe(
-    result: &geyser_supervisor::JobResult,
-    program: &Circuit,
-    vcfg: &VerifyConfig,
-) -> JobObservation {
-    let verified_equivalent = result
-        .compiled
-        .as_ref()
-        .map(|c| verify_compiled(program, c, vcfg).equivalent);
-    JobObservation {
-        id: result.id,
-        workload: result.workload.clone(),
-        state: result.state.label().to_string(),
-        has_circuit: result.compiled.is_some(),
-        has_error: result.error.is_some(),
-        attempts: result.attempts,
-        verified_equivalent,
-        resume_bit_identical: None,
-    }
-}
-
-/// Scans every surviving file in the campaign workdir and classifies
-/// it for invariant 5. Deterministic: entries are sorted by name.
-fn scan_store(dir: &Path) -> Vec<StoreFileObservation> {
-    let mut names: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries.filter_map(|e| e.ok().map(|e| e.path())).collect(),
-        Err(_) => return Vec::new(),
-    };
-    names.sort();
-    names
-        .into_iter()
-        .filter(|p| p.is_file())
-        .map(|path| {
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let status = if is_corrupt_sidecar(&path) {
-                StoreFileStatus::Quarantined
-            } else if name.ends_with(".tmp") {
-                StoreFileStatus::StaleTmp
-            } else {
-                // The campaign workdir only ever holds checkpoint
-                // records, so "parses" means "is a loadable
-                // checkpoint" (frame verified, JSON parsed, version
-                // current).
-                match load_checkpoint(&path) {
-                    Ok(_) => StoreFileStatus::Parsed,
-                    Err(CheckpointError::Corrupt { .. }) => StoreFileStatus::CorruptInPlace,
-                    // The file vanished between listing and reading;
-                    // nothing survives to classify.
-                    Err(CheckpointError::Io(_)) => StoreFileStatus::StaleTmp,
-                }
-            };
-            StoreFileObservation { path: name, status }
-        })
-        .collect()
 }
 
 /// Runs one campaign end to end and returns its scorecard entry.
@@ -287,132 +124,57 @@ fn run_campaign(
     techniques: &[Technique],
 ) -> CampaignCard {
     let seed = splitmix64(master_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut rng = Rng(seed);
-    let schedule = draw_schedule(&mut rng);
-    let faults = composed_faults(&schedule, cli.inject.as_deref());
+    let faults = composed_faults(draw_schedule(seed), cli.inject.as_deref());
 
-    // Small workloads keep a campaign to seconds; the runtime under
-    // test is the supervisor, not the annealer. qft-5 and qaoa-5 are
-    // excluded because their worst single-block search exceeds the
-    // watchdog's margin in debug builds (per-block work is the one
-    // interval the heartbeat cannot subdivide).
+    // Small workloads keep a campaign to seconds; the faults under
+    // test act on the pipeline, not on the annealer.
     let pool: Vec<_> = cli
         .selected_workloads(false)
         .into_iter()
-        .filter(|w| w.num_qubits <= 5 && w.name != "qft-5" && w.name != "qaoa-5")
+        .filter(|w| w.num_qubits <= 5)
         .collect();
     assert!(
         !pool.is_empty(),
         "workload filter left nothing small enough for chaos"
     );
-    let workload = pool[rng.pick(pool.len() as u64) as usize];
+    let workload = pool[(splitmix64(seed ^ 1) % pool.len() as u64) as usize];
     let program = cli.build(&workload);
     let mut cfg = cli.pipeline_config().with_seed(seed);
-    // Chaos stresses the runtime, not the annealer: a single ansatz
-    // layer and one restart cap each block's search at a fraction of
-    // the watchdog timeout even in debug builds, while checkpointing,
-    // kills, resume, and verification all still exercise the same
-    // code paths. Determinism is unaffected — the bit-identical
-    // reference compiles with the same config.
+    // A single ansatz layer and one restart cap each block's search at
+    // a fraction of a second even in debug builds, while the fault
+    // paths and verification all still run.
     cfg.composition.max_layers = 1;
     cfg.composition.anneal_iters = cfg.composition.anneal_iters.min(8);
     cfg.composition.restarts = 1;
     cfg.composition.retry_attempts = 0;
     let vcfg = VerifyConfig::default().with_seed(seed);
 
-    let workdir = PathBuf::from(CHAOS_ROOT).join(format!("c{index}"));
-    let _ = std::fs::remove_dir_all(&workdir);
-    std::fs::create_dir_all(&workdir).expect("create campaign workdir");
-
-    let supervisor = Supervisor::start_with_telemetry(
-        supervisor_config(cli, seed, techniques.len()),
-        cli.telemetry.clone(),
-    );
-    let mut submitted: u64 = 0;
-    let mut handles = Vec::new();
-    for &t in techniques {
-        let ckpt = workdir.join(format!(
-            "ckpt-{}-{}.json",
-            workload.name,
-            t.label().to_lowercase()
-        ));
-        let mut spec = JobSpec::new(workload.name, t, program.clone(), cfg.clone());
-        spec.faults = faults.clone();
-        spec.checkpoint = Some(ckpt.clone());
-        let handle = supervisor
-            .submit(spec)
-            .expect("chaos queue admits every job");
-        submitted += 1;
-        handles.push((t, ckpt, handle));
-    }
-    if schedule.storm {
-        // Cancellation storm: the single worker is busy with the
-        // first job, so the last one is cancelled while queued (or,
-        // worst case, mid-pass — both must classify cleanly).
-        if let Some((_, _, handle)) = handles.last() {
-            handle.cancel.cancel();
-        }
-    }
-    let results = supervisor.shutdown();
-
-    let mut jobs = Vec::new();
-    for (t, ckpt, handle) in &handles {
-        let result = results
-            .iter()
-            .find(|r| r.id == handle.id)
-            .expect("no submitted job may be silently lost");
-        let obs = observe(result, &program, &vcfg);
-        // A cancelled job that left a checkpoint gets the resume leg:
-        // pick the checkpoint up fault-free and demand bit-identical
-        // output versus an uninterrupted compile.
-        if result.state == JobState::Cancelled && ckpt.exists() {
-            let reference =
-                run_supervised_compile(&program, &cfg, &SupervisedCompileOptions::new(*t))
-                    .expect("fault-free reference compile succeeds");
-            let resumer = Supervisor::start_with_telemetry(
-                supervisor_config(cli, seed, 1),
-                cli.telemetry.clone(),
-            );
-            let mut spec = JobSpec::new(workload.name, *t, program.clone(), cfg.clone());
-            spec.checkpoint = Some(ckpt.clone());
-            spec.resume = true;
-            let resume_handle = resumer.submit(spec).expect("resume job admitted");
-            submitted += 1;
-            let resume_results = resumer.shutdown();
-            let resumed = resume_results
-                .iter()
-                .find(|r| r.id == resume_handle.id)
-                .expect("resume job reaches a terminal state");
-            let mut resumed_obs = observe(resumed, &program, &vcfg);
-            resumed_obs.resume_bit_identical = Some(match &resumed.compiled {
-                Some(c) => {
-                    c.mapped().circuit().ops() == reference.mapped().circuit().ops()
-                        && c.total_pulses() == reference.total_pulses()
-                }
-                None => false,
-            });
-            jobs.push(obs);
-            jobs.push(resumed_obs);
-            continue;
-        }
-        // Harness-cancelled storm victims are expected terminals, not
-        // resume cases; everything else must classify on its own.
-        jobs.push(obs);
-    }
-
-    let store = scan_store(&workdir);
-    let mut violations = check_campaign_jobs(submitted, &jobs);
-    violations.extend(check_store_scan(&store));
+    let jobs: Vec<JobObservation> = techniques
+        .iter()
+        .map(|&t| {
+            let result = PassManager::for_technique(t)
+                .with_faults(faults.clone())
+                .with_telemetry(cli.telemetry.clone())
+                .run(&program, &cfg);
+            JobObservation {
+                workload: workload.name.to_string(),
+                technique: t.label().to_string(),
+                verified_equivalent: result
+                    .as_ref()
+                    .ok()
+                    .map(|c| verify_compiled(&program, c, &vcfg).equivalent),
+                error: result.err().map(|e| e.to_string()),
+            }
+        })
+        .collect();
+    let violations = check_campaign_jobs(&jobs);
 
     CampaignCard {
         index,
         seed,
         workload: workload.name.to_string(),
         inject: faults.spec(),
-        storm: schedule.storm,
-        submitted,
         jobs,
-        store,
         violations,
     }
 }
@@ -464,7 +226,7 @@ fn observe_reuse(stats: &ReuseStats, verified_equivalent: Option<bool>) -> Reuse
 /// compile, doctor the cached negative entries into bogus composed
 /// records, then recompile clean (the ε gate must bounce every bogus
 /// replay) and once more under the composed `--inject` spec (a
-/// planted `reuse-poison,reuse-skip-verify` must trip invariant 6).
+/// planted `reuse-poison,reuse-skip-verify` must trip invariant 2).
 fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
     let seed = splitmix64(cli.seed ^ 0x5eed_5eed_5eed_5eed);
     let workdir = PathBuf::from(CHAOS_ROOT).join("reuse");
@@ -525,7 +287,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
 
     // Faulted recompile: the composed `--inject` spec is applied to
     // the same store. With `reuse-poison,reuse-skip-verify` planted,
-    // the doctored entries escape unverified and invariant 6 trips.
+    // the doctored entries escape unverified and invariant 2 trips.
     let faults = match cli.inject.as_deref() {
         Some(spec) => FaultInjector::parse(spec).expect("validated in main"),
         None => FaultInjector::none(),
@@ -546,7 +308,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
 }
 
 fn main() {
-    let mut cli = Cli::parse();
+    let cli = Cli::parse();
     // Reject a malformed --inject up front, not on the first campaign
     // that happens to compose it.
     if let Some(extra) = cli.inject.as_deref() {
@@ -555,20 +317,16 @@ fn main() {
             std::process::exit(exit_codes::USAGE);
         }
     }
-    // The oracle and the corruption counters feed the scorecard, so
-    // telemetry is always on for chaos.
-    cli.telemetry = Telemetry::enabled();
     let techniques = cli.effective_techniques(&[Technique::Baseline, Technique::Geyser]);
 
     let mut campaigns = Vec::new();
     for index in 0..cli.campaigns {
         let card = run_campaign(&cli, index, cli.seed, &techniques);
         println!(
-            "campaign {index:>3}: seed={:016x} workload={} inject='{}'{} jobs={} violations={}",
+            "campaign {index:>3}: seed={:016x} workload={} inject='{}' jobs={} violations={}",
             card.seed,
             card.workload,
             card.inject,
-            if card.storm { " +storm" } else { "" },
             card.jobs.len(),
             card.violations.len()
         );
@@ -587,27 +345,15 @@ fn main() {
         reuse.violations.len()
     );
 
-    let total_jobs: u64 = campaigns.iter().map(|c| c.submitted).sum();
+    let total_jobs = campaigns.iter().map(|c| c.jobs.len()).sum();
     let violations_total: usize =
         campaigns.iter().map(|c| c.violations.len()).sum::<usize>() + reuse.violations.len();
     let scorecard = Scorecard {
         seed: cli.seed,
+        campaigns,
         reuse,
         total_jobs,
-        hang_preemptions: cli
-            .telemetry
-            .counter_value("supervisor.hang_preemptions")
-            .unwrap_or(0),
-        store_corrupt_total: cli
-            .telemetry
-            .counter_value("store_corrupt_total")
-            .unwrap_or(0),
-        retries: cli
-            .telemetry
-            .counter_value("supervisor.retries")
-            .unwrap_or(0),
         violations_total,
-        campaigns,
     };
     if let Some(path) = &cli.json {
         std::fs::write(path, report_json(&scorecard))
@@ -615,13 +361,10 @@ fn main() {
         println!("(wrote {path})");
     }
     println!(
-        "chaos: seed {} — {} campaign(s), {} job(s), {} hang preemption(s), \
-         {} quarantine(s), {} violation(s)",
+        "chaos: seed {} — {} campaign(s), {} job(s), {} violation(s)",
         scorecard.seed,
         scorecard.campaigns.len(),
         scorecard.total_jobs,
-        scorecard.hang_preemptions,
-        scorecard.store_corrupt_total,
         scorecard.violations_total
     );
     if violations_total > 0 {

@@ -8,8 +8,8 @@
 //! [--json PATH]`
 //!
 //! * `--store DIR` — directory to scan (default `.geyser-cache`, the
-//!   shared home of the bench results cache, composition
-//!   checkpoints, and the cross-job reuse store under `reuse/`).
+//!   shared home of the bench results cache and the cross-job reuse
+//!   store under `reuse/`).
 //! * `--prune` — additionally reclaim debris: delete quarantine
 //!   sidecars, stale `.tmp` files from interrupted writes, and cache
 //!   entries whose schema version is stale (guaranteed misses).
@@ -18,23 +18,25 @@
 //!   size and age, so operators can see how much quarantine evidence
 //!   is accumulating before deciding to reclaim it. Reuse-store entries whose hardware digest or
 //!   composition-config hash no longer matches the machine being
-//!   repaired (see `--hardware`) are stale — guaranteed skips for
-//!   this machine — and are likewise reclaimed only under `--prune`,
-//!   with kept/reclaimed bytes reported in their own section.
+//!   repaired (see `--hardware`), or that an older search wrote, are
+//!   stale — guaranteed skips for this machine — and are likewise
+//!   reclaimed only under `--prune`, with kept/reclaimed bytes
+//!   reported in their own section.
 //! * `--hardware PATH` — the hardware spec the reuse staleness check
 //!   binds to (default: the paper machine). Entries are *current*
 //!   when their hardware digest matches and their config hash is one
-//!   of the two blessed pipeline configs (`fast`/`paper`).
+//!   of the two blessed pipeline configs (`fast`/`paper`) under the
+//!   current `SEARCH_VERSION`.
 //! * `--json PATH` — write the scan report as JSON.
 //!
 //! Classification mirrors the loaders exactly: every file goes through
 //! the store protocol's validated loader with its store's own schema
-//! check — `ckpt-*` files the checkpoint parse, `reuse-*.json` the
-//! reuse parse, and everything else `.json` the cache schema — so
-//! `repair` can never disagree with the pipeline about what is
-//! loadable. Any other file (including a `generation` header or
-//! `compaction.lock` left by an older cache) is `unknown` and left
-//! alone. Because no store sweeps on open, `--prune` is the one
+//! check — `reuse-*.json` the reuse parse, and every other `.json` the
+//! cache schema — so `repair` can never disagree with the pipeline
+//! about what is loadable. Any other file (including a `generation`
+//! header or `compaction.lock` left by an older cache, and a
+//! `ckpt-*.json` composition checkpoint left by an older build) is
+//! `unknown` and left alone. Because no store sweeps on open, `--prune` is the one
 //! reclaimer of stale `.tmp` files; run it while no bench process
 //! writes to the store, since a `.tmp` may be a live writer's staged
 //! file. Corrupt files are moved aside
@@ -54,7 +56,6 @@ use geyser::store::{
 use geyser::{HardwareSpec, PipelineConfig, Telemetry};
 use geyser_bench::{classify_cache_payload, exit_codes, report_json, CachePayloadStatus};
 use geyser_reuse::{is_reuse_entry, parse_reuse_record, reuse_config_hash};
-use geyser_supervisor::parse_checkpoint;
 use serde::Serialize;
 
 /// What the scan decided about one file.
@@ -191,8 +192,9 @@ fn parse_args() -> Args {
 
 /// The hardware/config binding reuse entries are judged against: the
 /// repaired machine's hardware digest plus the config hashes of the
-/// two blessed pipeline configurations. Anything else is stale *for
-/// this machine* — still loadable, but a guaranteed skip.
+/// two blessed pipeline configurations under the current search.
+/// Anything else is stale *for this machine* — still loadable, but a
+/// guaranteed skip.
 struct ReuseBinding {
     hardware_digest: u64,
     config_hashes: [u64; 2],
@@ -269,7 +271,10 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> File
     if is_tmp(path) {
         return FileStatus::StaleTmp;
     }
-    if !name.ends_with(".json") {
+    // A `ckpt-*` composition checkpoint left by an older build is no
+    // store this build reads: leave it alone rather than quarantine it
+    // as a corrupt cache entry.
+    if !name.ends_with(".json") || name.starts_with("ckpt-") {
         return FileStatus::Unknown;
     }
     let (label, check): (&str, SchemaCheck) = if is_reuse_entry(path) {
@@ -284,10 +289,6 @@ fn scan_file(path: &Path, binding: &ReuseBinding, telemetry: &Telemetry) -> File
                     FileStatus::ReuseStale
                 },
             )
-        })
-    } else if name.starts_with("ckpt-") {
-        ("checkpoint", |payload, _| {
-            parse_checkpoint(payload).map(|_| FileStatus::Healthy)
         })
     } else {
         // Results-cache entry.
@@ -474,5 +475,98 @@ fn main() {
             report.quarantine_failed
         );
         std::process::exit(exit_codes::FAILURES);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use geyser::store::write_record_atomic;
+    use geyser_reuse::{
+        reuse_entry_path, BlockFingerprint, ReuseEntry, ReuseKey, ReuseOutcome, ReuseRecord,
+    };
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("geyser-repair-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes one reuse entry bound to the paper machine and `config_hash`.
+    fn reuse_entry(dir: &Path, config_hash: u64) -> PathBuf {
+        let key = ReuseKey {
+            fingerprint: BlockFingerprint::Canonical {
+                dim: 8,
+                digest: config_hash,
+            },
+            hardware_digest: HardwareSpec::paper().digest(),
+            config_hash,
+        };
+        let entry = ReuseEntry {
+            outcome: ReuseOutcome::NotCheaper,
+            params: Vec::new(),
+            layers: 0,
+            hsd: 0.0,
+            evaluations: 0,
+        };
+        let record = ReuseRecord::from_entry(&key, None, &entry);
+        let path = reuse_entry_path(dir, key.digest());
+        write_record_atomic(&path, &serde_json::to_string(&record).unwrap()).unwrap();
+        path
+    }
+
+    #[test]
+    fn leftover_checkpoints_are_unknown_and_left_alone() {
+        let dir = tmpdir("ckpt");
+        let framed = dir.join("ckpt-adder-4-geyser-s0-fast-std-h0.json");
+        write_record_atomic(&framed, "{\"version\": 3, \"blocks\": []}").unwrap();
+        let torn = dir.join("ckpt-qft-5-geyser-s0-fast-std-h0.json");
+        std::fs::write(&torn, "GEYSREC1 00").unwrap();
+        let binding = ReuseBinding::new(&HardwareSpec::paper());
+        let telemetry = Telemetry::enabled();
+        for path in [&framed, &torn] {
+            assert_eq!(scan_file(path, &binding, &telemetry), FileStatus::Unknown);
+            assert!(path.exists(), "{} must be left in place", path.display());
+        }
+        assert_eq!(
+            telemetry.counter_value(geyser::store::STORE_CORRUPT_COUNTER),
+            None
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reuse_entries_from_the_previous_search_are_stale() {
+        let dir = tmpdir("search");
+        let c = PipelineConfig::fast().composition;
+        // The previous search (SEARCH_VERSION 1) hashed the knobs alone.
+        let previous = geyser::store::fnv1a_bytes(
+            format!(
+                "reuse-cfg|eps={:?}|layers={}|iters={}|restarts={}|retries={}",
+                c.epsilon, c.max_layers, c.anneal_iters, c.restarts, c.retry_attempts
+            )
+            .as_bytes(),
+        );
+        let current = reuse_config_hash(
+            c.epsilon,
+            c.max_layers,
+            c.anneal_iters,
+            c.restarts,
+            c.retry_attempts,
+        );
+        let binding = ReuseBinding::new(&HardwareSpec::paper());
+        let telemetry = Telemetry::disabled();
+        let old = reuse_entry(&dir, previous);
+        let new = reuse_entry(&dir, current);
+        assert_eq!(
+            scan_file(&old, &binding, &telemetry),
+            FileStatus::ReuseStale
+        );
+        assert_eq!(
+            scan_file(&new, &binding, &telemetry),
+            FileStatus::ReuseEntry
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,22 +1,25 @@
 //! `sweep` — technique × hardware-scenario grid evaluation.
 //!
 //! Drives every selected workload through every `(hardware spec ×
-//! technique)` grid cell via the supervised job runtime and emits a
-//! scorecard: physical pulses, critical-path depth, estimated success
-//! probability under the spec's noise model, and compile cost per
-//! cell. The grid comes from `--specs` (builtin preset names or spec
-//! JSON paths; default `paper,near-term`), techniques from
-//! `--techniques` (default `Baseline,Geyser`).
+//! technique)` grid cell and emits a scorecard: physical pulses,
+//! critical-path depth, estimated success probability under the
+//! spec's noise model, and compile cost per cell. The grid comes from
+//! `--specs` (builtin preset names or spec JSON paths; default
+//! `paper,near-term`), techniques from `--techniques` (default
+//! `Baseline,Geyser`).
 //!
 //! The scorecard is written as JSON to `--json PATH`
 //! (default `sweep-scorecard.json`) in addition to the stdout table.
+//! Telemetry is always on, so every cell compiles (the results cache
+//! is bypassed) and `compile_seconds` times the compile itself, never
+//! a cache read.
 //!
 //! ```text
 //! sweep --fast --specs paper,near-term --techniques Baseline,Geyser \
 //!       --workloads qft-5 --json scorecard.json
 //! ```
 
-use geyser::{estimated_success_probability, Technique};
+use geyser::{estimated_success_probability, Technique, Telemetry};
 use geyser_bench::{
     compile_techniques, maybe_write_trace, metrics, print_rows, report_json, Cli, Row,
 };
@@ -46,12 +49,9 @@ struct ScorecardCell {
 
 fn main() {
     let mut cli = Cli::parse();
-    // The whole grid runs through the supervised runtime (bounded
-    // queue, circuit breakers, crash-safe checkpoints keyed by each
-    // spec's digest), so a killed sweep resumes per-cell.
-    if !cli.supervised() {
-        cli.jobs = 2;
-    }
+    // Enabled telemetry keeps every cell off the results cache, so
+    // each cell's compile report carries its own pass timings.
+    cli.telemetry = Telemetry::enabled();
     let grid = cli.hardware_grid();
     let techniques = cli.effective_techniques(&[Technique::Baseline, Technique::Geyser]);
     let workloads = cli.selected_workloads(true);
@@ -59,8 +59,7 @@ fn main() {
     let mut cells: Vec<ScorecardCell> = Vec::new();
     let mut rows: Vec<Row> = Vec::new();
     for spec in &grid {
-        // Rebinding the scenario here makes `pipeline_config` and
-        // `config_tag` (hence cache and checkpoint keys) follow it.
+        // Rebinding the scenario here makes `pipeline_config` follow it.
         let mut cell_cli = cli.clone();
         cell_cli.hardware = Some(spec.clone());
         let cfg = cell_cli.pipeline_config();

@@ -27,7 +27,7 @@ use geyser::{
     VerificationStats,
 };
 use geyser_circuit::Circuit;
-use geyser_compose::CompositionStats;
+use geyser_compose::{CompositionStats, SEARCH_VERSION};
 use geyser_map::{Layout, MappedCircuit};
 use geyser_topology::{Lattice, LatticeKind};
 use geyser_verify::VerifyConfig;
@@ -51,16 +51,15 @@ struct CachedStats {
 /// a hardware-spec digest, to 3 when entries moved to the
 /// content-addressed layout, to 4 when entries stopped carrying a
 /// store generation, and to 5 when the composition search dropped the
-/// annealer's Nelder–Mead polish. The key (name, technique, cfg tag,
-/// fingerprint) does not identify the search, so a change to the
-/// search's trajectories needs a bump too, or a warm cache keeps
-/// serving the old search's circuits. Older entries degrade to a cache
+/// annealer's Nelder–Mead polish (before the key bound the search).
+/// It versions the schema only: the key binds
+/// [`geyser_compose::SEARCH_VERSION`], so a change to the search's
+/// trajectories bumps that instead. Older entries degrade to a cache
 /// miss instead of silently replaying results compiled for a different
 /// machine, schema or search.
 const CACHE_VERSION: u64 = 5;
 
-/// Default cache root, relative to the working directory (matching the
-/// composition checkpoints that live beside it).
+/// Default cache root, relative to the working directory.
 pub const CACHE_ROOT: &str = ".geyser-cache";
 
 /// Subdirectory holding content-addressed entries, sharded by the top
@@ -92,6 +91,11 @@ struct CachedCompile {
     /// cache key, so a stored verdict can be replayed verbatim.
     verification: Option<VerificationStats>,
 }
+
+/// Serializes tests that relocate the process cwd: the cache root is
+/// relative, so they must not interleave.
+#[cfg(test)]
+pub(crate) static CWD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Telemetry counter bumped when a cache entry parses but cannot be
 /// replayed — stale schema version or a foreign hardware digest.
@@ -128,10 +132,10 @@ fn fingerprint(program: &Circuit) -> u64 {
 }
 
 /// Content-addressed path of the entry for one `(workload, technique,
-/// config, program)` tuple under the cache `root`.
+/// config, program, search version)` tuple under the cache `root`.
 fn entry_path(root: &Path, name: &str, technique: Technique, cfg_tag: &str, fp: u64) -> PathBuf {
     let key = format!(
-        "{name}-{}-{cfg_tag}-{fp:016x}",
+        "{name}-{}-{cfg_tag}-{fp:016x}-search{SEARCH_VERSION}",
         technique.label().to_lowercase()
     );
     let digest = geyser::store::fnv1a_bytes(key.as_bytes());
@@ -250,15 +254,14 @@ fn from_cached(
     });
     // A replayed circuit carries a report with the same schema as a
     // fresh compile — empty pass list (nothing ran in this process),
-    // explicit `supervision`/`verification` keys serialized as `null`
-    // when absent — so `--report`-style consumers see a stable JSON
-    // shape whether an entry was compiled or replayed.
+    // an explicit `verification` key serialized as `null` when absent
+    // — so `--report`-style consumers see a stable JSON shape whether
+    // an entry was compiled or replayed.
     let mut report = CompileReport::new(technique.label());
     if let Some(s) = &stats {
         report.blocks_fell_back = s.blocks_fell_back as u64;
         report.blocks_failed = s.blocks_failed as u64;
     }
-    report.supervision = None;
     report.verification = cached.verification;
     let mut compiled = CompiledCircuit::from_parts(technique, mapped, stats);
     compiled.attach_report(report);
@@ -355,10 +358,6 @@ fn store(
 mod tests {
     use super::*;
     use geyser::store::{is_corrupt_sidecar, read_record_file, stage_write, walk_files};
-
-    // Tests that relocate the process cwd (the cache root is relative)
-    // must not interleave.
-    static CWD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn sample_program() -> Circuit {
         let mut c = Circuit::new(3);
@@ -642,11 +641,9 @@ mod tests {
         assert_eq!(telemetry.counter_value("bench.cache_hits"), Some(1));
         let report = second.report().expect("replays carry a report too");
         assert!(report.passes.is_empty(), "no pass ran in this process");
-        assert!(report.supervision.is_none());
-        // Stable schema: the telemetry-era keys serialize as explicit
-        // nulls on a replay instead of vanishing.
+        // Stable schema: absent verdicts serialize as explicit nulls on
+        // a replay instead of vanishing.
         let json = report.to_json();
-        assert!(json.contains("\"supervision\": null"));
         assert!(json.contains("\"verification\": null"));
 
         std::env::set_current_dir(old).unwrap();
@@ -827,14 +824,14 @@ mod tests {
         let old = std::env::current_dir().unwrap();
         std::env::set_current_dir(&dir).unwrap();
 
-        // A peer process has staged a cache entry and a composition
-        // checkpoint in the shared store but not yet renamed either
-        // into place.
+        // A peer process has staged a cache entry and a reuse-store
+        // entry in the shared store but not yet renamed either into
+        // place.
         let root = Path::new(CACHE_ROOT);
         let entry = entry_path(root, "peer", Technique::Baseline, "peer", 7);
         let staged_entry = stage_write(&entry, b"entry").unwrap();
-        let checkpoint = root.join("ckpt-peer-geyser-peer.json");
-        let staged_checkpoint = stage_write(&checkpoint, b"checkpoint").unwrap();
+        let reuse = root.join("reuse").join("reuse-0000000000000007.json");
+        let staged_reuse = stage_write(&reuse, b"reuse").unwrap();
 
         let program = sample_program();
         let cfg = PipelineConfig::fast();
@@ -851,11 +848,11 @@ mod tests {
         staged_entry
             .commit()
             .expect("the peer's cache entry commits");
-        staged_checkpoint
+        staged_reuse
             .commit()
-            .expect("the peer's checkpoint commits");
+            .expect("the peer's reuse entry commits");
         assert_eq!(std::fs::read(&entry).unwrap(), b"entry");
-        assert_eq!(std::fs::read(&checkpoint).unwrap(), b"checkpoint");
+        assert_eq!(std::fs::read(&reuse).unwrap(), b"reuse");
 
         std::env::set_current_dir(old).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,9 +9,8 @@
 //! | 0    | success |
 //! | [`FAILURES`] | run completed but found failures (fuzz counterexamples, replay regressions, trace-check defects) |
 //! | [`USAGE`] | malformed invocation: unknown flag, bad `--inject` spec, unloadable `--hardware`/`--specs` file |
-//! | [`CANCELLED_RESUMABLE`] | a job was cancelled mid-run but left a resumable checkpoint; rerun with `--resume` |
 //! | [`VERIFICATION_FAILED`] | a compiled circuit failed the equivalence oracle under `--verify` |
-//! | [`CHAOS_INVARIANT`] | a chaos campaign caught the runtime breaking a global invariant |
+//! | [`CHAOS_INVARIANT`] | a chaos campaign caught the pipeline breaking a global invariant |
 
 /// The run completed but found failures (fuzz counterexamples, replay
 /// regressions, trace defects).
@@ -20,10 +19,6 @@ pub const FAILURES: i32 = 1;
 /// Malformed invocation: unknown flag, bad fault spec, unloadable
 /// hardware scenario.
 pub const USAGE: i32 = 2;
-
-/// A job was cancelled but its checkpoint survived; rerun with
-/// `--resume` to continue bit-identically.
-pub const CANCELLED_RESUMABLE: i32 = 3;
 
 /// A compiled circuit failed the equivalence oracle under `--verify`.
 pub const VERIFICATION_FAILED: i32 = 4;
@@ -38,15 +33,11 @@ mod tests {
 
     #[test]
     fn codes_are_distinct_and_stable() {
-        let codes = [
-            FAILURES,
-            USAGE,
-            CANCELLED_RESUMABLE,
-            VERIFICATION_FAILED,
-            CHAOS_INVARIANT,
-        ];
-        for (i, a) in codes.iter().enumerate() {
-            assert_eq!(*a, i as i32 + 1, "codes are consecutive from 1");
-        }
+        // 3 meant "cancelled, resumable" while checkpoints existed; it
+        // stays unused so scripts reading 4 and 5 keep working.
+        assert_eq!(
+            [FAILURES, USAGE, VERIFICATION_FAILED, CHAOS_INVARIANT],
+            [1, 2, 4, 5]
+        );
     }
 }

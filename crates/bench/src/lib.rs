@@ -16,23 +16,15 @@
 //! * `--steps N` — Trotter steps for Heisenberg (paper scale: 37)
 //! * `--json PATH` — also dump rows as JSON
 //! * `--report PATH` — dump per-pass compile reports as JSON
-//!   (bypasses the compile cache so every run is instrumented; the
-//!   reports include budget consumption and per-run fallback counts)
+//!   (enables telemetry, which bypasses the compile cache so every run
+//!   is instrumented; the reports include budget consumption and
+//!   per-run fallback counts)
 //! * `--budget-ms N` — wall-clock budget per compilation; on expiry
 //!   the pipeline degrades gracefully (blocks fall back, remaining
 //!   passes are skipped and recorded) instead of running unbounded
 //! * `--inject SPEC` — deterministic fault injection for robustness
 //!   runs (bypasses the cache); see [`geyser::FaultInjector::parse`]
 //!   for the spec syntax, e.g. `--inject compose-corrupt:0,sim-nan:3`
-//! * `--jobs N` — run compilations through the supervised job runtime
-//!   with `N` worker threads (bounded queue, per-workload circuit
-//!   breaker, crash-safe composition checkpoints)
-//! * `--max-retries N` — retry retryable failures (pass panics,
-//!   budget expiry, simulation faults) up to `N` times with seeded
-//!   exponential backoff; implies the supervised runtime
-//! * `--resume` — restore matching composition checkpoints left by an
-//!   earlier killed run instead of recomposing finished blocks;
-//!   implies the supervised runtime
 //! * `--verify` — run every compiled circuit through the equivalence
 //!   oracle (`geyser-verify`); the verdict lands on the compile report
 //!   (and in the results cache) and an inequivalent result aborts the
@@ -56,27 +48,23 @@
 //!   `quarantine/`)
 //! * `--trace PATH` — record hierarchical telemetry spans across the
 //!   whole pipeline and write them as a Chrome trace-event JSON file
-//!   (load in `chrome://tracing` or Perfetto); implies the supervised
-//!   runtime so job-lifecycle spans appear, and adds the Geyser
-//!   technique to binaries that would not otherwise compose, so
-//!   annealer spans always reach the trace
+//!   (load in `chrome://tracing` or Perfetto); enables telemetry, which
+//!   bypasses the compile cache so every compile emits its spans, and
+//!   adds the Geyser technique to binaries that would not otherwise
+//!   compose, so annealer spans always reach the trace
 //! * `--techniques a,b` — compile an explicit technique list
 //!   (labels per [`Technique::label`], case-insensitive) instead of
 //!   the binary's default comparison points
 //! * `--hardware PATH` — load a serialized [`geyser::HardwareSpec`]
 //!   scenario (JSON) and compile for that machine instead of the
-//!   paper's; the spec's digest becomes part of the results-cache and
-//!   checkpoint keys, and its noise model drives noisy simulation
+//!   paper's; the spec's digest becomes part of the results-cache
+//!   key, and its noise model drives noisy simulation
 //!   unless `--noise` overrides it
 //! * `--specs a,b,c` — hardware-scenario grid for the `sweep` binary:
 //!   each element is a builtin preset name (`paper`,
 //!   `square-diagonal`, `near-term`) or a path to a spec JSON file
 //! * `--campaigns N` — campaign count for the `chaos` binary
 //!   (default 8)
-//! * `--watchdog-ms N` — arm the supervisor's hung-worker watchdog:
-//!   workers whose heartbeat goes stale for `N` ms are preempted and
-//!   the attempt is retyped as a retryable `WorkerHung` error;
-//!   implies the supervised runtime
 //!
 //! Exit codes are unified in [`exit_codes`].
 
@@ -99,9 +87,6 @@ use geyser::{
 };
 use geyser_circuit::Circuit;
 use geyser_sim::NoiseModel;
-use geyser_supervisor::{
-    JobSpec, JobState, RetryPolicy, Supervisor, SupervisorConfig, WatchdogConfig,
-};
 use geyser_verify::VerifyConfig;
 use geyser_workloads::{heisenberg, suite, WorkloadSpec};
 use serde::Serialize;
@@ -131,12 +116,6 @@ pub struct Cli {
     pub budget_ms: Option<u64>,
     /// Raw fault-injection spec (`--inject`).
     pub inject: Option<String>,
-    /// Supervised-runtime worker threads (`--jobs`, default 1).
-    pub jobs: usize,
-    /// Retries per retryable failure (`--max-retries`, default 0).
-    pub max_retries: usize,
-    /// Restore crash-safe composition checkpoints (`--resume`).
-    pub resume: bool,
     /// Run compiled circuits through the equivalence oracle
     /// (`--verify`).
     pub verify: bool,
@@ -172,16 +151,11 @@ pub struct Cli {
     pub specs: Vec<String>,
     /// Campaign count for the `chaos` binary (`--campaigns`).
     pub campaigns: usize,
-    /// Hung-worker watchdog timeout in milliseconds (`--watchdog-ms`);
-    /// enables the supervisor's heartbeat watchdog, which preempts
-    /// workers whose heartbeat goes stale and retypes the preemption
-    /// as a retryable `WorkerHung` error. Implies the supervised
-    /// runtime.
-    pub watchdog_ms: Option<u64>,
     /// The run's telemetry handle: disabled by default, enabled by
     /// [`Cli::parse`] when `--trace` or `--report` is given. Cloning
     /// shares the same buffers, so spans recorded anywhere in the
-    /// pipeline land in this handle's exporters.
+    /// pipeline land in this handle's exporters. An enabled handle
+    /// bypasses the results cache (see [`compile_techniques`]).
     pub telemetry: Telemetry,
 }
 
@@ -199,9 +173,6 @@ impl Default for Cli {
             report: None,
             budget_ms: None,
             inject: None,
-            jobs: 1,
-            max_retries: 0,
-            resume: false,
             verify: false,
             reuse: false,
             reuse_store: None,
@@ -215,7 +186,6 @@ impl Default for Cli {
             noise_explicit: false,
             specs: Vec::new(),
             campaigns: 8,
-            watchdog_ms: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -264,11 +234,6 @@ impl Cli {
                     }
                     cli.inject = Some(spec);
                 }
-                "--jobs" => cli.jobs = value("--jobs").parse().expect("integer"),
-                "--max-retries" => {
-                    cli.max_retries = value("--max-retries").parse().expect("integer")
-                }
-                "--resume" => cli.resume = true,
                 "--verify" => cli.verify = true,
                 "--reuse" => cli.reuse = true,
                 "--reuse-store" => {
@@ -310,9 +275,6 @@ impl Cli {
                     }
                 }
                 "--campaigns" => cli.campaigns = value("--campaigns").parse().expect("integer"),
-                "--watchdog-ms" => {
-                    cli.watchdog_ms = Some(value("--watchdog-ms").parse().expect("integer"))
-                }
                 "--specs" => {
                     cli.specs = value("--specs")
                         .split(',')
@@ -393,17 +355,6 @@ impl Cli {
             .unwrap_or_else(|e| exit_bad_inject(&e))
     }
 
-    /// Whether any flag routes compilation through the supervised job
-    /// runtime instead of the plain in-process path. `--trace` implies
-    /// supervision so the job-lifecycle spans land in the trace.
-    pub fn supervised(&self) -> bool {
-        self.jobs > 1
-            || self.max_retries > 0
-            || self.resume
-            || self.trace.is_some()
-            || self.watchdog_ms.is_some()
-    }
-
     /// The techniques a binary should compile: the explicit
     /// `--techniques` override when given, otherwise the binary's
     /// default list — extended with [`Technique::Geyser`] under
@@ -435,7 +386,7 @@ impl Cli {
     }
 
     /// Tag encoding every flag that affects compilation output, used
-    /// as part of the on-disk cache and checkpoint keys. Includes the
+    /// as part of the on-disk cache key. Includes the
     /// hardware spec's content digest, so results compiled for
     /// different machines can never collide on disk.
     pub fn config_tag(&self) -> String {
@@ -504,9 +455,8 @@ fn exit_bad_inject(err: &FaultSpecError) -> ! {
     eprintln!("error: --inject: {err}");
     eprintln!(
         "usage: --inject SPEC where SPEC is comma-separated fault tokens, e.g.\n  \
-         pass-panic:compose, pass-panic-once:compose, hang-pass:block,\n  \
-         compose-corrupt:0, compose-timeout, sim-nan:3,\n  \
-         kill-after-block:2, checkpoint-corrupt, miscompile:0"
+         pass-panic:compose, hang-pass:block, compose-corrupt:0,\n  \
+         compose-timeout, sim-nan:3, miscompile:0"
     );
     std::process::exit(exit_codes::USAGE);
 }
@@ -527,18 +477,13 @@ pub struct Row {
 /// compilation once.
 ///
 /// The cache is bypassed when any flag makes the run non-reusable:
-/// `--report` (cache hits carry no per-pass instrumentation),
-/// `--budget-ms` (a degraded result depends on machine speed), and
-/// `--inject` (deliberately faulty output must never be cached). Fault
-/// plans run through a [`PassManager`] so injected pass panics surface
-/// as typed errors.
-///
-/// When any supervision flag is set (`--jobs`, `--max-retries`,
-/// `--resume`) every compilation is routed through the
-/// [`geyser_supervisor::Supervisor`] instead: jobs carry crash-safe
-/// composition checkpoints under `.geyser-cache/`, retryable failures
-/// back off and retry, and [`geyser::SupervisionStats`] land on each
-/// compile report. Supervised runs also bypass the cache.
+/// enabled telemetry (`--report`, `--trace`, and `sweep`: a cache hit
+/// would carry no per-pass instrumentation and emit no spans),
+/// `--budget-ms` (a degraded result depends on machine speed),
+/// `--reuse` (a hit would neither consult nor grow the reuse index)
+/// and `--inject` (deliberately faulty output must never be cached).
+/// Bypassing runs go through a [`PassManager`] so injected pass panics
+/// surface as typed errors.
 ///
 /// With `--verify`, every finalized circuit additionally runs through
 /// the `geyser-verify` equivalence oracle. The check runs *after*
@@ -558,43 +503,32 @@ pub fn compile_techniques(
     let tag = cli.config_tag();
     let faults = cli.fault_injector();
     let verify_cfg = cli.verify_config();
-    let mut compiled: Vec<(Technique, CompiledCircuit, Option<VerificationStats>)> =
-        if cli.supervised() {
-            compile_supervised(cli, name, program, techniques, cfg, &faults, &tag)
-                .into_iter()
-                .map(|(t, c)| (t, c, None))
-                .collect()
-        } else {
-            // Reuse runs also bypass the results cache: a cache hit skips
-            // compilation entirely, so it would neither consult nor grow
-            // the reuse index and the run's ReuseStats would be empty.
-            let bypass_cache =
-                cli.report.is_some() || cli.budget_ms.is_some() || cli.reuse || !faults.is_empty();
-            techniques
-                .iter()
-                .map(|&t| {
-                    if bypass_cache {
-                        let c = PassManager::for_technique(t)
-                            .with_faults(faults.clone())
-                            .with_telemetry(cli.telemetry.clone())
-                            .run(program, cfg)
-                            .unwrap_or_else(|e| panic!("{e}"));
-                        (t, c, None)
-                    } else {
-                        let (c, stats) = compile_cached(
-                            name,
-                            program,
-                            t,
-                            cfg,
-                            &tag,
-                            verify_cfg.as_ref(),
-                            &cli.telemetry,
-                        );
-                        (t, c, stats)
-                    }
-                })
-                .collect()
-        };
+    let bypass_cache =
+        cli.telemetry.is_enabled() || cli.budget_ms.is_some() || cli.reuse || !faults.is_empty();
+    let mut compiled: Vec<(Technique, CompiledCircuit, Option<VerificationStats>)> = techniques
+        .iter()
+        .map(|&t| {
+            if bypass_cache {
+                let c = PassManager::for_technique(t)
+                    .with_faults(faults.clone())
+                    .with_telemetry(cli.telemetry.clone())
+                    .run(program, cfg)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                (t, c, None)
+            } else {
+                let (c, stats) = compile_cached(
+                    name,
+                    program,
+                    t,
+                    cfg,
+                    &tag,
+                    verify_cfg.as_ref(),
+                    &cli.telemetry,
+                );
+                (t, c, stats)
+            }
+        })
+        .collect();
     if let Some(vc) = &verify_cfg {
         for (t, c, cached_verdict) in &mut compiled {
             // Cache hits reuse the verdict persisted next to the
@@ -627,93 +561,6 @@ fn exit_verification_failure(name: &str, technique: Technique, stats: &Verificat
     std::process::exit(exit_codes::VERIFICATION_FAILED);
 }
 
-/// Where one job's crash-safe composition checkpoint lives. The
-/// checkpoint file itself binds to (circuit fingerprint, seed, block
-/// count, composition-config hash), so a stale path collision degrades
-/// to a fresh start rather than splicing in foreign blocks.
-fn checkpoint_path(name: &str, technique: Technique, cfg_tag: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from(".geyser-cache").join(format!(
-        "ckpt-{name}-{}-{cfg_tag}.json",
-        technique.label().to_lowercase()
-    ))
-}
-
-/// Compiles one workload's techniques as supervised jobs: bounded
-/// queue, `--jobs` workers, seeded retry backoff, per-workload circuit
-/// breaking, and crash-safe composition checkpoints.
-///
-/// A cancelled job (e.g. an injected `kill-after-block` fault) prints
-/// where its checkpoint survived and exits with status 3 so sweep
-/// scripts can distinguish "killed, resumable" from real failures;
-/// rerunning with `--resume` picks the checkpoint up bit-identically.
-fn compile_supervised(
-    cli: &Cli,
-    name: &str,
-    program: &Circuit,
-    techniques: &[Technique],
-    cfg: &PipelineConfig,
-    faults: &FaultInjector,
-    cfg_tag: &str,
-) -> Vec<(Technique, CompiledCircuit)> {
-    let supervisor = Supervisor::start_with_telemetry(
-        SupervisorConfig {
-            workers: cli.jobs.max(1),
-            queue_capacity: techniques.len().max(1),
-            retry: RetryPolicy {
-                seed: cli.seed,
-                ..RetryPolicy::with_retries(cli.max_retries)
-            },
-            watchdog: cli.watchdog_ms.map(|ms| WatchdogConfig {
-                hang_timeout_ms: ms,
-                ..WatchdogConfig::default()
-            }),
-            ..SupervisorConfig::default()
-        },
-        cli.telemetry.clone(),
-    );
-    let mut ids = Vec::new();
-    for &t in techniques {
-        let mut spec = JobSpec::new(name, t, program.clone(), cfg.clone());
-        spec.faults = faults.clone();
-        spec.checkpoint = Some(checkpoint_path(name, t, cfg_tag));
-        spec.resume = cli.resume;
-        let handle = supervisor
-            .submit(spec)
-            .unwrap_or_else(|e| panic!("submit {name}/{}: {e}", t.label()));
-        ids.push((t, handle.id));
-    }
-    let mut results = supervisor.shutdown();
-    ids.into_iter()
-        .map(|(t, id)| {
-            let pos = results
-                .iter()
-                .position(|r| r.id == id)
-                .expect("every submitted job reaches a terminal state");
-            let result = results.remove(pos);
-            match result.state {
-                JobState::Done => (t, result.compiled.expect("Done jobs carry a circuit")),
-                JobState::Cancelled => {
-                    eprintln!(
-                        "job '{name}' ({}) cancelled after {} attempt(s); \
-                         checkpoint kept under .geyser-cache/ — rerun with \
-                         --resume to continue where it stopped",
-                        t.label(),
-                        result.attempts
-                    );
-                    std::process::exit(exit_codes::CANCELLED_RESUMABLE);
-                }
-                state => panic!(
-                    "job '{name}' ({}) ended {state:?}: {}",
-                    t.label(),
-                    result
-                        .error
-                        .map_or_else(|| "circuit breaker open".to_string(), |e| e.to_string())
-                ),
-            }
-        })
-        .collect()
-}
-
 /// One (workload × technique) per-pass compile report.
 #[derive(Debug, Clone, Serialize)]
 pub struct ReportRow {
@@ -727,8 +574,8 @@ pub struct ReportRow {
 
 /// Collects the compile reports of one workload's compilations into
 /// `out`. Cache replays contribute a report too (empty pass list,
-/// explicit `supervision`/`verification` keys), so the output schema
-/// is stable whether a circuit was compiled or replayed.
+/// explicit `verification` key), so the output schema is stable
+/// whether a circuit was compiled or replayed.
 pub fn collect_reports(
     name: &str,
     compiled: &[(Technique, CompiledCircuit)],
@@ -753,7 +600,7 @@ pub fn collect_reports(
 pub struct ReportDocument {
     /// Per-(workload × technique) compile reports.
     pub rows: Vec<ReportRow>,
-    /// Counters, gauges, and histograms accumulated across the run.
+    /// Counters and histograms accumulated across the run.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -981,31 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn supervision_flags_imply_the_supervised_path() {
-        assert!(!Cli::default().supervised());
-        for cli in [
-            Cli {
-                jobs: 2,
-                ..Cli::default()
-            },
-            Cli {
-                max_retries: 1,
-                ..Cli::default()
-            },
-            Cli {
-                resume: true,
-                ..Cli::default()
-            },
-            Cli {
-                watchdog_ms: Some(400),
-                ..Cli::default()
-            },
-        ] {
-            assert!(cli.supervised());
-        }
-    }
-
-    #[test]
     fn verify_flag_implies_an_oracle_config_following_the_seed() {
         assert!(Cli::default().verify_config().is_none());
         let cli = Cli {
@@ -1030,13 +852,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_flag_implies_supervision_and_appends_geyser() {
+    fn trace_flag_appends_geyser() {
         let cli = Cli {
             trace: Some("t.json".into()),
             telemetry: Telemetry::enabled(),
             ..Cli::default()
         };
-        assert!(cli.supervised());
         assert_eq!(
             cli.effective_techniques(&[Technique::Baseline]),
             vec![Technique::Baseline, Technique::Geyser],
@@ -1049,6 +870,42 @@ mod tests {
             Cli::default().effective_techniques(&[Technique::Baseline]),
             vec![Technique::Baseline]
         );
+    }
+
+    #[test]
+    fn enabled_telemetry_compiles_instead_of_hitting_the_cache() {
+        // A traced run must emit compose spans, so it compiles even
+        // when the results cache is warm; `report: None` here, so the
+        // telemetry handle alone decides the bypass.
+        let _cwd = cache::CWD_LOCK.lock().unwrap();
+        let dir = std::env::temp_dir().join(format!("geyser-bench-traced-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = std::env::current_dir().unwrap();
+        std::env::set_current_dir(&dir).unwrap();
+
+        let mut program = Circuit::new(3);
+        program.h(0).cx(0, 1).cx(1, 2).t(2);
+        let cfg = PipelineConfig::fast();
+        let warm = Cli {
+            telemetry: Telemetry::enabled(),
+            ..Cli::default()
+        };
+        compile_techniques(
+            &Cli::default(),
+            "traced",
+            &program,
+            &[Technique::Geyser],
+            &cfg,
+        );
+        compile_techniques(&warm, "traced", &program, &[Technique::Geyser], &cfg);
+        let hits = warm.telemetry.counter_value("bench.cache_hits");
+        let passes = warm.telemetry.counter_value("core.passes_run");
+
+        std::env::set_current_dir(old).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(hits, None, "a telemetry-enabled run never reads the cache");
+        assert!(passes.unwrap_or(0) > 0, "the traced run ran its passes");
     }
 
     #[test]
@@ -1143,17 +1000,18 @@ mod tests {
         let json = report_json(&doc);
         assert!(json.contains("\"rows\""));
         assert!(json.contains("\"metrics\": null"));
-        assert!(json.contains("\"supervision\": null"));
         assert!(json.contains("\"verification\": null"));
     }
 
     #[test]
     fn verified_compile_attaches_oracle_stats_to_the_report() {
-        // `report: Some` routes around the on-disk cache, so this test
-        // leaves no .geyser-cache entries behind.
+        // Enabled telemetry (what `--report` turns on) routes around
+        // the on-disk cache, so this test leaves no .geyser-cache
+        // entries behind.
         let cli = Cli {
             verify: true,
             report: Some("unused.json".into()),
+            telemetry: Telemetry::enabled(),
             ..Cli::default()
         };
         let mut program = Circuit::new(3);
@@ -1172,35 +1030,6 @@ mod tests {
                 .and_then(|r| r.verification.as_ref())
                 .unwrap_or_else(|| panic!("{} run missing verification stats", t.label()));
             assert!(v.equivalent, "{}: {v:?}", t.label());
-        }
-    }
-
-    #[test]
-    fn supervised_compile_attaches_supervision_stats() {
-        let cli = Cli {
-            jobs: 2,
-            max_retries: 1,
-            ..Cli::default()
-        };
-        let mut program = Circuit::new(3);
-        program.h(0).cx(0, 1).cx(1, 2).t(2);
-        let cfg = PipelineConfig::fast();
-        let compiled = compile_techniques(
-            &cli,
-            "bench-sup-test",
-            &program,
-            &[Technique::Baseline, Technique::Geyser],
-            &cfg,
-        );
-        assert_eq!(compiled.len(), 2);
-        for (t, c) in &compiled {
-            let stats = c
-                .report()
-                .and_then(|r| r.supervision.as_ref())
-                .unwrap_or_else(|| panic!("{} run missing supervision stats", t.label()));
-            assert_eq!(stats.attempts, 1, "healthy jobs succeed first try");
-            assert_eq!(stats.retries, 0);
-            assert!(!stats.resumed_from_checkpoint);
         }
     }
 }

@@ -136,19 +136,6 @@ impl FallbackReason {
             FallbackReason::Cancelled => "cancelled",
         }
     }
-
-    /// Parses a [`FallbackReason::label`] back to the reason (used by
-    /// checkpoint loaders).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "not-cheaper" => Some(FallbackReason::NotCheaper),
-            "non-convergence" => Some(FallbackReason::NonConvergence),
-            "budget-exhausted" => Some(FallbackReason::BudgetExhausted),
-            "epsilon-rejected" => Some(FallbackReason::EpsilonRejected),
-            "cancelled" => Some(FallbackReason::Cancelled),
-            _ => None,
-        }
-    }
 }
 
 /// Per-block outcome of whole-circuit composition.
@@ -240,8 +227,8 @@ pub struct CompositionStats {
     /// Fallbacks (a subset of [`CompositionStats::blocks_fell_back`])
     /// caused by a fired cancellation token.
     pub blocks_cancelled: usize,
-    /// Blocks whose result was restored from a prior run (checkpoint
-    /// resume) instead of being recomposed.
+    /// Blocks whose result was restored from `prior` results instead
+    /// of being recomposed.
     pub blocks_resumed: usize,
     /// Largest HSD among accepted candidates (composition error bound).
     pub max_accepted_hsd: f64,
@@ -990,11 +977,10 @@ pub fn try_compose_blocked_circuit(
 /// Callback invoked by the composition pool as each block finishes.
 ///
 /// Runs on the worker thread that composed the block, so
-/// implementations must be `Sync`; checkpoint writers use it to
-/// persist per-block results as they land. Observers are *not*
-/// notified for resumed blocks (results injected via `prior`), and
-/// should ignore [`FallbackReason::Cancelled`] fallbacks — a cancelled
-/// block was never actually attempted.
+/// implementations must be `Sync`. Observers are *not* notified for
+/// blocks restored from `prior`, and should ignore
+/// [`FallbackReason::Cancelled`] fallbacks — a cancelled block was
+/// never actually attempted.
 pub trait BlockObserver: Sync {
     /// Called once per freshly composed (non-resumed) eligible block.
     fn block_finished(&self, index: usize, result: &CompositionResult);
@@ -1034,21 +1020,22 @@ pub fn try_compose_blocked_circuit_with_faults(
     )
 }
 
-/// The fully supervised composition entry point: fault injection plus
-/// cooperative cancellation, checkpoint resume, and per-block
-/// completion observation.
+/// The full composition entry point: fault injection plus
+/// cooperative cancellation, restored prior results, and per-block
+/// completion observation. The pipeline passes no `prior` and no
+/// `observer`; both stay for callers that drive the layers directly.
 ///
 /// * `cancel` — polled before every block and inside every annealing
 ///   chain move; once fired, remaining blocks fall back with
 ///   [`FallbackReason::Cancelled`] and the pool drains promptly.
-/// * `prior` — per-block results from an earlier (interrupted) run,
+/// * `prior` — per-block results from an earlier run,
 ///   indexed like the blocked circuit's blocks; a `Some` slot is
 ///   restored verbatim (counted in
 ///   [`CompositionStats::blocks_resumed`]) instead of recomposed.
 ///   Because every block derives its seed from `(config.seed, index)`,
 ///   a resumed run is bit-identical to an uninterrupted one.
 /// * `observer` — notified on the worker thread as each fresh block
-///   finishes (checkpoint writers hook in here).
+///   finishes.
 /// * `telemetry` — records a `compose.block` span per fresh block plus
 ///   annealer counters and the acceptance-rate histogram. Timings are
 ///   observational only: results are bit-identical with telemetry
@@ -1200,10 +1187,10 @@ fn publish_wave(
 /// serial and in block order, so results stay deterministic across
 /// thread counts for a fixed session content.
 ///
-/// Reuse trades the bit-for-bit checkpoint-resume guarantee for saved
-/// annealing work: a resumed run no longer publishes entries for the
-/// restored blocks, so their followers may anneal fresh (and converge
-/// to a different, equally ε-verified candidate). Every replayed
+/// Reuse trades the bit-for-bit `prior`-restore guarantee for saved
+/// annealing work: a run with `prior` results does not publish entries
+/// for the restored blocks, so their followers may anneal fresh (and
+/// converge to a different, equally ε-verified candidate). Every replayed
 /// composition passes the same shared-oracle check as a fresh one
 /// unless the session's `reuse-skip-verify` chaos fault is armed.
 #[allow(clippy::too_many_arguments)]
@@ -1298,7 +1285,7 @@ pub fn try_compose_blocked_circuit_reusing(
                     let result = if block.is_triangle() {
                         let local = block.subcircuit(source);
                         if let Some(prev) = prior.get(i).and_then(|p| p.as_ref()) {
-                            // Checkpoint resume: restore the recorded result
+                            // Restore the recorded prior result
                             // without paying for the search again.
                             resumed.fetch_add(1, Ordering::Relaxed);
                             telemetry.counter_add("compose.blocks_resumed", 1);
@@ -1462,6 +1449,7 @@ pub fn try_compose_blocked_circuit_reusing(
 mod tests {
     use super::*;
     use geyser_blocking::{block_circuit, BlockingConfig};
+    use geyser_reuse::SEARCH_VERSION;
     use geyser_topology::Lattice;
 
     /// The paper's Fig. 11 example: a CCZ decomposed into 6 CZ and
@@ -1586,11 +1574,16 @@ mod tests {
     /// one multi-start run of a ruled-out combination.
     #[test]
     fn golden_search_is_bit_identical() {
-        // (name, block, annealer evaluations, outcome, accepted-HSD
-        // bits, pulses, Adam calls, pruned depths, pruned starts)
+        // (name, block, search version, annealer evaluations, outcome,
+        // accepted-HSD bits, pulses, Adam calls, pruned depths, pruned
+        // starts). The search version sits beside the counters it was
+        // recorded under: a change that moves any counter is a new
+        // search, so it bumps SEARCH_VERSION and every store keyed on
+        // it stops replaying the old search's outcomes.
         type Golden = (
             &'static str,
             Circuit,
+            u32,
             u64,
             &'static str,
             u64,
@@ -1603,6 +1596,7 @@ mod tests {
             (
                 "decomposed-ccz",
                 decomposed_ccz(),
+                2,
                 5762,
                 "composed/2",
                 0x3f3aa5fbc479a800,
@@ -1614,6 +1608,7 @@ mod tests {
             (
                 "dressed-ccz",
                 dressed_ccz(),
+                2,
                 2281,
                 "composed/1",
                 0x3f3f4b6e60aaf800,
@@ -1625,6 +1620,7 @@ mod tests {
             (
                 "dressed-cz-pair",
                 dressed_cz_pair(),
+                2,
                 3481,
                 "non-convergence",
                 0,
@@ -1634,9 +1630,20 @@ mod tests {
                 1,
             ),
         ];
-        for (name, block, evals, outcome, hsd_bits, pulses, refine, pruned_depths, pruned_starts) in
-            golden
+        for (
+            name,
+            block,
+            search_version,
+            evals,
+            outcome,
+            hsd_bits,
+            pulses,
+            refine,
+            pruned_depths,
+            pruned_starts,
+        ) in golden
         {
+            assert_eq!(SEARCH_VERSION, search_version, "{name}");
             let telemetry = Telemetry::enabled();
             let res = compose_block_inner(
                 &block,
@@ -2296,19 +2303,5 @@ mod tests {
         let composed = reuse_compose(&blocked, &cfg, &mut session);
         let stats = composed.stats.reuse.unwrap();
         assert!(stats.warm_starts >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn fallback_reason_labels_round_trip() {
-        for reason in [
-            FallbackReason::NotCheaper,
-            FallbackReason::NonConvergence,
-            FallbackReason::BudgetExhausted,
-            FallbackReason::EpsilonRejected,
-            FallbackReason::Cancelled,
-        ] {
-            assert_eq!(FallbackReason::from_label(reason.label()), Some(reason));
-        }
-        assert_eq!(FallbackReason::from_label("nonsense"), None);
     }
 }

@@ -49,5 +49,5 @@ pub use composer::{
 };
 pub use error::ComposeError;
 pub use geyser_optimize::{CancelToken, Deadline};
-pub use geyser_reuse::{ReuseSession, ReuseStats};
+pub use geyser_reuse::{ReuseSession, ReuseStats, SEARCH_VERSION};
 pub use quad::{try_compose_quad, QuadAnsatz, QuadAttempt, PULSES_CCCZ, QUAD_ENTANGLER_CHOICES};

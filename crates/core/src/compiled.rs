@@ -73,9 +73,9 @@ impl CompiledCircuit {
     /// Attaches a pipeline report after the fact.
     ///
     /// Result caches use this to give replayed circuits the same
-    /// report *shape* as fresh compiles — explicit
-    /// `supervision`/`verification` keys (serialized as `null` when
-    /// absent) instead of a missing report — so downstream JSON
+    /// report *shape* as fresh compiles — an explicit `verification`
+    /// key (serialized as `null` when absent) instead of a missing
+    /// report — so downstream JSON
     /// consumers see a stable schema whether a circuit was compiled or
     /// replayed.
     pub fn attach_report(&mut self, report: CompileReport) {
@@ -92,8 +92,8 @@ impl CompiledCircuit {
         self.report.as_ref()
     }
 
-    /// Mutable access to the pipeline report, used by supervisors to
-    /// attach [`crate::SupervisionStats`] after the run completes.
+    /// Mutable access to the pipeline report, used by the bench
+    /// harness to attach the oracle's verdict after the run completes.
     pub fn report_mut(&mut self) -> Option<&mut CompileReport> {
         self.report.as_mut()
     }

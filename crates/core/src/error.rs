@@ -68,18 +68,6 @@ pub enum CompileError {
         /// inside).
         pass: String,
     },
-    /// The supervisor's watchdog preempted the attempt because the
-    /// worker stopped heartbeating: the pipeline was stuck inside a
-    /// pass past the hang timeout. Unlike [`CompileError::Cancelled`]
-    /// this is an involuntary stop and is retryable — a fresh attempt
-    /// (with transient hang faults stripped) can plausibly succeed.
-    WorkerHung {
-        /// The pass the worker was stuck in when preempted.
-        pass: String,
-        /// How long the heartbeat had been stale when the watchdog
-        /// fired, in milliseconds.
-        stalled_ms: u64,
-    },
     /// Simulation failed a numerical health check during evaluation.
     Sim(SimError),
     /// The equivalence oracle rejected the compiled circuit: its
@@ -97,51 +85,6 @@ pub enum CompileError {
         /// What the store operation was doing when it failed.
         detail: String,
     },
-}
-
-/// Supervision class of a [`CompileError`]: what a retry loop should
-/// do with it.
-///
-/// * [`ErrorClass::Retryable`] — transient by nature (a contained
-///   panic, an exhausted budget, a numerically unhealthy trajectory):
-///   a reseeded or re-budgeted attempt can plausibly succeed.
-/// * [`ErrorClass::Fatal`] — deterministic given the same input
-///   (empty program, unmappable lattice, misordered passes): retrying
-///   burns budget without hope, and repeated fatals should trip a
-///   circuit breaker instead.
-/// * [`ErrorClass::Cancelled`] — not a failure at all: the caller
-///   asked the job to stop, and it must not be retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorClass {
-    /// A fresh attempt can plausibly succeed.
-    Retryable,
-    /// Deterministic failure; retrying is pointless.
-    Fatal,
-    /// The caller cancelled the job; never retried.
-    Cancelled,
-}
-
-impl CompileError {
-    /// Classifies this error for retry/breaker decisions.
-    pub fn class(&self) -> ErrorClass {
-        match self {
-            CompileError::PassPanicked { .. }
-            | CompileError::BudgetExceeded { .. }
-            | CompileError::WorkerHung { .. }
-            | CompileError::Sim(_) => ErrorClass::Retryable,
-            CompileError::Cancelled { .. } => ErrorClass::Cancelled,
-            CompileError::EmptyProgram
-            | CompileError::Map(_)
-            | CompileError::Block(_)
-            | CompileError::Compose(_)
-            | CompileError::MissingStage { .. }
-            | CompileError::InvariantViolation { .. }
-            | CompileError::RegisterMismatch { .. }
-            | CompileError::NoTrajectories
-            | CompileError::VerificationFailed { .. }
-            | CompileError::ReuseStore { .. } => ErrorClass::Fatal,
-        }
-    }
 }
 
 impl fmt::Display for CompileError {
@@ -180,11 +123,6 @@ impl fmt::Display for CompileError {
             CompileError::Cancelled { pass } => {
                 write!(f, "compilation cancelled at pass '{pass}'")
             }
-            CompileError::WorkerHung { pass, stalled_ms } => write!(
-                f,
-                "worker hung in pass '{pass}' (no heartbeat for {stalled_ms} ms); \
-                 preempted by watchdog"
-            ),
             CompileError::Sim(e) => write!(f, "simulation failed: {e}"),
             CompileError::VerificationFailed { method, detail } => {
                 write!(f, "equivalence verification ({method}) failed: {detail}")
@@ -251,51 +189,6 @@ mod tests {
             compiled_qubits: 4,
         };
         assert!(e.to_string().contains("register mismatch"));
-    }
-
-    #[test]
-    fn classification_partitions_the_taxonomy() {
-        assert_eq!(
-            CompileError::PassPanicked {
-                pass: "map".into(),
-                detail: "boom".into()
-            }
-            .class(),
-            ErrorClass::Retryable
-        );
-        assert_eq!(
-            CompileError::BudgetExceeded { pass: "map".into() }.class(),
-            ErrorClass::Retryable
-        );
-        assert_eq!(
-            CompileError::WorkerHung {
-                pass: "compose".into(),
-                stalled_ms: 250
-            }
-            .class(),
-            ErrorClass::Retryable
-        );
-        assert_eq!(CompileError::EmptyProgram.class(), ErrorClass::Fatal);
-        assert_eq!(
-            CompileError::MissingStage {
-                pass: "compose",
-                requires: "block"
-            }
-            .class(),
-            ErrorClass::Fatal
-        );
-        assert_eq!(
-            CompileError::Cancelled { pass: "map".into() }.class(),
-            ErrorClass::Cancelled
-        );
-        assert_eq!(
-            CompileError::VerificationFailed {
-                method: "exact-unitary".into(),
-                detail: "fidelity 0.5".into()
-            }
-            .class(),
-            ErrorClass::Fatal
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic, config-driven fault injection for robustness tests.
 //!
 //! A [`FaultInjector`] is a *plan*: which pass panics, which
-//! composition blocks are corrupted or killed, which Monte-Carlo
+//! composition blocks are corrupted or panic, which Monte-Carlo
 //! trajectories go NaN, whether the composition deadline is forced to
 //! expire. The plan is plain data — building the same plan twice (or
 //! deriving it from the same seed via [`FaultInjector::sampled`])
@@ -24,23 +24,10 @@ pub struct FaultInjector {
     /// manager must convert each to
     /// [`crate::CompileError::PassPanicked`].
     pub panic_passes: Vec<String>,
-    /// Passes that panic on entry only on the first attempt of a
-    /// supervised job: the supervisor strips these from the plan after
-    /// attempt 0, so a retry succeeds. Exercises the
-    /// retry-then-recover path with a deterministic fault.
-    pub transient_panic_passes: Vec<String>,
-    /// Passes that hang on entry (sleep-loop) until the job's
+    /// Passes that hang on entry (sleep-loop) until the run's
     /// cancellation token fires or the budget expires. Exercises the
-    /// supervisor's ability to free a stuck worker via cancellation.
+    /// pass manager's ability to free a stuck compile through either.
     pub hung_passes: Vec<String>,
-    /// Cancels the job's own token after this many *freshly composed*
-    /// blocks have been checkpointed — simulating a bench sweep killed
-    /// mid-composition. The run ends typed-`Cancelled` with a partial
-    /// checkpoint; a `--resume` run completes it bit-identically.
-    pub kill_after_block: Option<usize>,
-    /// Truncates the checkpoint file after writing it, so the next
-    /// resume must detect the corruption and start fresh.
-    pub corrupt_checkpoint: bool,
     /// Forces the composition deadline to be already expired: every
     /// eligible block must fall back with `budget-exhausted`.
     pub force_compose_timeout: bool,
@@ -114,8 +101,7 @@ impl std::error::Error for FaultSpecError {}
 const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One splitmix64 draw — the workspace's standard dependency-free
-/// generator: fault plans, retry jitter and the chaos schedules all
-/// draw from it.
+/// generator: fault plans and the chaos schedules draw from it.
 pub fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -132,10 +118,7 @@ impl FaultInjector {
     /// Whether the plan injects anything at all.
     pub fn is_empty(&self) -> bool {
         self.panic_passes.is_empty()
-            && self.transient_panic_passes.is_empty()
             && self.hung_passes.is_empty()
-            && self.kill_after_block.is_none()
-            && !self.corrupt_checkpoint
             && !self.force_compose_timeout
             && self.miscompile_gates.is_empty()
             && !self.reuse_poison
@@ -178,17 +161,8 @@ impl FaultInjector {
         for p in &self.panic_passes {
             tokens.push(format!("pass-panic:{p}"));
         }
-        for p in &self.transient_panic_passes {
-            tokens.push(format!("pass-panic-once:{p}"));
-        }
         for p in &self.hung_passes {
             tokens.push(format!("hang-pass:{p}"));
-        }
-        if let Some(i) = self.kill_after_block {
-            tokens.push(format!("kill-after-block:{i}"));
-        }
-        if self.corrupt_checkpoint {
-            tokens.push("checkpoint-corrupt".to_string());
         }
         if self.force_compose_timeout {
             tokens.push("compose-timeout".to_string());
@@ -223,10 +197,7 @@ impl FaultInjector {
     /// | token | fault |
     /// |---|---|
     /// | `pass-panic:<name>` | pass `<name>` panics on entry |
-    /// | `pass-panic-once:<name>` | pass `<name>` panics only on attempt 0 of a supervised job |
     /// | `hang-pass:<name>` | pass `<name>` hangs until cancelled or out of budget |
-    /// | `kill-after-block:<i>` | job self-cancels after `i` fresh blocks checkpoint |
-    /// | `checkpoint-corrupt` | checkpoint file truncated after writing |
     /// | `compose-timeout` | composition deadline forced expired |
     /// | `miscompile:<i>` | gate `i` of the final circuit silently corrupted |
     /// | `reuse-poison` | every loaded Composed reuse entry's params perturbed |
@@ -271,10 +242,7 @@ impl FaultInjector {
             };
             match kind {
                 "pass-panic" => plan.panic_passes.push(name("pass-name")?),
-                "pass-panic-once" => plan.transient_panic_passes.push(name("pass-name")?),
                 "hang-pass" => plan.hung_passes.push(name("pass-name")?),
-                "kill-after-block" => plan.kill_after_block = Some(index("block")?),
-                "checkpoint-corrupt" => plan.corrupt_checkpoint = true,
                 "compose-timeout" => plan.force_compose_timeout = true,
                 "miscompile" => plan.miscompile_gates.push(index("gate")?),
                 "reuse-poison" => plan.reuse_poison = true,
@@ -306,15 +274,6 @@ mod tests {
         assert!(FaultInjector::none().is_empty());
         assert!(!FaultInjector::parse("compose-timeout").unwrap().is_empty());
         assert!(!FaultInjector::parse("hang-pass:map").unwrap().is_empty());
-        assert!(!FaultInjector::parse("kill-after-block:0")
-            .unwrap()
-            .is_empty());
-        assert!(!FaultInjector::parse("checkpoint-corrupt")
-            .unwrap()
-            .is_empty());
-        assert!(!FaultInjector::parse("pass-panic-once:map")
-            .unwrap()
-            .is_empty());
         assert!(!FaultInjector::parse("miscompile:0").unwrap().is_empty());
         assert!(!FaultInjector::parse("reuse-poison").unwrap().is_empty());
         assert!(!FaultInjector::parse("reuse-skip-verify")
@@ -325,17 +284,13 @@ mod tests {
     #[test]
     fn parse_covers_every_kind() {
         let plan = FaultInjector::parse(
-            "pass-panic:map, pass-panic-once:compose, hang-pass:block, \
-             kill-after-block:2, checkpoint-corrupt, compose-timeout, \
+            "pass-panic:map, hang-pass:block, compose-timeout, \
              compose-corrupt:1, compose-panic:2, sim-nan:3, sim-nan-persistent:4, \
              miscompile:5, reuse-poison, reuse-skip-verify",
         )
         .unwrap();
         assert_eq!(plan.panic_passes, vec!["map".to_string()]);
-        assert_eq!(plan.transient_panic_passes, vec!["compose".to_string()]);
         assert_eq!(plan.hung_passes, vec!["block".to_string()]);
-        assert_eq!(plan.kill_after_block, Some(2));
-        assert!(plan.corrupt_checkpoint);
         assert!(plan.force_compose_timeout);
         assert_eq!(plan.compose.corrupt_blocks, vec![1]);
         assert_eq!(plan.compose.panic_blocks, vec![2]);
@@ -370,14 +325,17 @@ mod tests {
         );
         assert!(FaultInjector::parse("pass-panic").is_err());
         assert!(FaultInjector::parse("hang-pass").is_err());
-        assert!(FaultInjector::parse("kill-after-block:soon").is_err());
         assert!(FaultInjector::parse("miscompile").is_err());
         assert!(FaultInjector::parse("miscompile:first").is_err());
-        // The write-ahead journal's fault tokens retired with it.
+        // The write-ahead journal's and the supervision runtime's
+        // fault tokens retired with them.
         for retired in [
             "kill-mid-journal-append:6",
             "kill-mid-compaction",
             "torn-journal-tail",
+            "pass-panic-once:compose",
+            "kill-after-block:1",
+            "checkpoint-corrupt",
         ] {
             let kind = retired.split(':').next().unwrap().to_string();
             assert_eq!(
@@ -399,8 +357,7 @@ mod tests {
 
     #[test]
     fn spec_roundtrips_through_parse() {
-        let spec = "pass-panic:map,pass-panic-once:compose,hang-pass:block,\
-                    kill-after-block:2,checkpoint-corrupt,compose-timeout,\
+        let spec = "pass-panic:map,hang-pass:block,compose-timeout,\
                     miscompile:5,reuse-poison,reuse-skip-verify,\
                     compose-corrupt:1,compose-panic:2,sim-nan:3,\
                     sim-nan-persistent:4";

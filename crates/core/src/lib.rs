@@ -52,7 +52,7 @@ mod verify;
 pub use budget::Budget;
 pub use compiled::CompiledCircuit;
 pub use config::PipelineConfig;
-pub use error::{CompileError, ErrorClass};
+pub use error::CompileError;
 pub use evaluate::{
     estimated_success_probability, evaluate_tvd, ideal_logical_distribution, try_evaluate_tvd,
     try_evaluate_tvd_traced, try_evaluate_tvd_with_faults, TvdReport,
@@ -63,7 +63,7 @@ pub use geyser_store::{
     write_record_atomic, RecordError, RecordPayload, StoreCorruption, StoreReadError,
 };
 pub use pass::{CompileContext, Pass, PassManager};
-pub use report::{CompileReport, PassReport, SupervisionStats, VerificationStats};
+pub use report::{CompileReport, PassReport, VerificationStats};
 // The record layer moved to its own crate so non-core consumers (the
 // reuse index, future stores) can share it without depending on the
 // whole pipeline; `geyser::store::*` paths keep working via this

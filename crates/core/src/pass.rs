@@ -411,9 +411,9 @@ impl PassManager {
             }
             if self.faults.hung_passes.iter().any(|p| p == pass.name()) {
                 // Injected hang: the pass makes no progress, so the
-                // only exits are the job's cancel token or the
-                // wall-clock budget — exactly the paths a supervisor
-                // must be able to free a stuck worker through.
+                // only exits are the run's cancel token or the
+                // wall-clock budget — exactly the paths a caller must
+                // be able to free a stuck compile through.
                 loop {
                     if self.cancel.is_cancelled() {
                         return Err(CompileError::Cancelled {
@@ -437,15 +437,7 @@ impl PassManager {
             let (pulses_before, gates_before, depth_before) = snapshot(&ctx);
             let blocks_before = ctx.composition_stats().map(|s| s.blocks_composed as u64);
             let start = Instant::now();
-            // Transient panics fault identically to persistent ones
-            // here; the supervisor strips them from the plan after
-            // attempt 0 so a retry succeeds.
-            let inject_panic = self
-                .faults
-                .panic_passes
-                .iter()
-                .chain(self.faults.transient_panic_passes.iter())
-                .any(|p| p == pass.name());
+            let inject_panic = self.faults.panic_passes.iter().any(|p| p == pass.name());
             // Panic isolation: a pass that unwinds (injected or a
             // genuine bug) is reported as a typed error; the context
             // is dropped with the run, never reused. The pass span is

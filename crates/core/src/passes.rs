@@ -7,9 +7,7 @@
 //! themselves live in those crates.
 
 use geyser_blocking::try_block_circuit_traced;
-use geyser_compose::{
-    try_compose_blocked_circuit_reusing, BlockObserver, CompositionConfig, CompositionResult,
-};
+use geyser_compose::{try_compose_blocked_circuit_reusing, CompositionConfig};
 use geyser_map::{optimize_to_fixpoint, try_map_circuit_traced, MappingOptions};
 use geyser_optimize::Deadline;
 use geyser_reuse::{load_reuse_dir, reuse_config_hash, save_reuse_dir, ReuseSession};
@@ -159,7 +157,7 @@ impl ComposePass {
     /// with the pipeline budget threaded into the per-block search. A
     /// forced-timeout fault overrides it so every block must prove it
     /// degrades to `budget-exhausted` fallback.
-    pub fn config(ctx: &CompileContext<'_>) -> CompositionConfig {
+    fn config(ctx: &CompileContext<'_>) -> CompositionConfig {
         let cfg = ctx.config().composition;
         if ctx.faults().force_compose_timeout {
             cfg.with_deadline(Deadline::already_expired())
@@ -169,19 +167,18 @@ impl ComposePass {
             cfg
         }
     }
+}
 
-    /// The composition stage body every compose pass runs: composes
-    /// the blocked circuit under `cfg` (through a reuse session when
-    /// the pipeline enables one), installs the result, and surfaces a
-    /// mid-composition cancellation as a typed error. `prior` holds
-    /// block results restored from a checkpoint and `observer` sees
-    /// every freshly composed block; the stock pass passes neither.
-    pub fn compose(
-        ctx: &mut CompileContext<'_>,
-        cfg: &CompositionConfig,
-        prior: &[Option<CompositionResult>],
-        observer: Option<&dyn BlockObserver>,
-    ) -> Result<(), CompileError> {
+impl Pass for ComposePass {
+    fn name(&self) -> &'static str {
+        "compose"
+    }
+
+    /// Composes the blocked circuit (through a reuse session when the
+    /// pipeline enables one), installs the result, and surfaces a
+    /// mid-composition cancellation as a typed error.
+    fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
+        let cfg = ComposePass::config(ctx);
         let blocked = ctx.blocked().ok_or(CompileError::MissingStage {
             pass: "compose",
             requires: "block",
@@ -189,8 +186,7 @@ impl ComposePass {
         let reuse = ctx.config().reuse.clone();
         // The reuse session is keyed to this exact scenario: entries
         // only replay under the same hardware digest and the same
-        // acceptance-relevant composition knobs. Restored blocks are
-        // never fingerprinted (they did no work to cache).
+        // acceptance-relevant composition knobs and search version.
         let mut session = reuse.enabled.then(|| {
             ReuseSession::new(
                 ctx.config().hardware.digest(),
@@ -219,11 +215,11 @@ impl ComposePass {
         }
         let mut composed = try_compose_blocked_circuit_reusing(
             blocked,
-            cfg,
+            &cfg,
             &ctx.faults().compose,
             ctx.cancel(),
-            prior,
-            observer,
+            &[],
+            None,
             ctx.telemetry(),
             session.as_mut(),
         )?;
@@ -247,17 +243,6 @@ impl ComposePass {
             });
         }
         Ok(())
-    }
-}
-
-impl Pass for ComposePass {
-    fn name(&self) -> &'static str {
-        "compose"
-    }
-
-    fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
-        let cfg = ComposePass::config(ctx);
-        ComposePass::compose(ctx, &cfg, &[], None)
     }
 }
 

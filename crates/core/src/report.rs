@@ -38,33 +38,6 @@ impl PassReport {
     }
 }
 
-/// How the supervisor ran this job: retry, backoff, queue, breaker,
-/// and checkpoint-resume accounting. Absent (`None`) for unsupervised
-/// runs, so plain pipeline reports are unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SupervisionStats {
-    /// Pipeline attempts consumed, including the final one (1 = no
-    /// retries were needed).
-    pub attempts: u64,
-    /// Attempts beyond the first (`attempts - 1`).
-    pub retries: u64,
-    /// Total milliseconds of retry backoff the job slept through.
-    pub backoff_ms: u64,
-    /// Jobs already waiting when this one was admitted to the queue.
-    pub queue_depth: u64,
-    /// The workload's circuit-breaker state when the job finished
-    /// (`closed`, `open`, or `half-open`).
-    pub breaker_state: String,
-    /// Composition blocks restored from a checkpoint instead of
-    /// recomposed.
-    pub blocks_resumed: u64,
-    /// Whether the run started from a crash-safe checkpoint at all.
-    pub resumed_from_checkpoint: bool,
-    /// Attempts the watchdog preempted because the worker's heartbeat
-    /// went stale (each surfaces as a retryable `WorkerHung`).
-    pub hang_preemptions: u64,
-}
-
 /// What the equivalence oracle measured for one compiled circuit.
 ///
 /// A serializable mirror of `geyser_verify::EquivalenceReport`, kept
@@ -114,9 +87,6 @@ pub struct CompileReport {
     pub blocks_fell_back: u64,
     /// Composition blocks whose isolated worker panicked.
     pub blocks_failed: u64,
-    /// Supervisor accounting (retries, backoff, breaker, resume);
-    /// `None` when the pipeline ran unsupervised.
-    pub supervision: Option<SupervisionStats>,
     /// Equivalence-oracle verdict for the compiled circuit; `None`
     /// when verification was not requested.
     pub verification: Option<VerificationStats>,
@@ -127,7 +97,8 @@ pub struct CompileReport {
 
 // Hand-written so reports filed before the reuse subsystem existed
 // still load (the derive rejects missing fields): an absent `reuse`
-// key deserializes to `None`.
+// key deserializes to `None`. Keys no longer declared here, such as
+// an older report's `supervision`, are ignored.
 impl serde::Deserialize for CompileReport {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         fn or_default<T: serde::Deserialize + Default>(
@@ -150,7 +121,6 @@ impl serde::Deserialize for CompileReport {
             skipped_passes: serde::Deserialize::from_value(value.get_field("skipped_passes")?)?,
             blocks_fell_back: serde::Deserialize::from_value(value.get_field("blocks_fell_back")?)?,
             blocks_failed: serde::Deserialize::from_value(value.get_field("blocks_failed")?)?,
-            supervision: serde::Deserialize::from_value(value.get_field("supervision")?)?,
             verification: serde::Deserialize::from_value(value.get_field("verification")?)?,
             reuse: or_default(value, "reuse")?,
         })
@@ -169,7 +139,6 @@ impl CompileReport {
             skipped_passes: Vec::new(),
             blocks_fell_back: 0,
             blocks_failed: 0,
-            supervision: None,
             verification: None,
             reuse: None,
         }
@@ -212,7 +181,6 @@ mod tests {
             skipped_passes: Vec::new(),
             blocks_fell_back: 0,
             blocks_failed: 0,
-            supervision: None,
             verification: None,
             reuse: None,
             passes: vec![
@@ -307,30 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn supervision_stats_roundtrip() {
-        let mut r = sample();
-        r.supervision = Some(SupervisionStats {
-            attempts: 3,
-            retries: 2,
-            backoff_ms: 12,
-            queue_depth: 5,
-            breaker_state: "closed".into(),
-            blocks_resumed: 4,
-            resumed_from_checkpoint: true,
-            hang_preemptions: 1,
-        });
-        let json = r.to_json();
-        assert!(json.contains("\"supervision\""));
-        assert!(json.contains("\"breaker_state\""));
-        let back: CompileReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-        let s = back.supervision.unwrap();
-        assert_eq!(s.retries, 2);
-        assert!(s.resumed_from_checkpoint);
-        assert_eq!(s.hang_preemptions, 1);
-    }
-
-    #[test]
     fn reuse_stats_roundtrip() {
         let mut r = sample();
         r.reuse = Some(ReuseStats {
@@ -371,31 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn pre_service_supervision_stats_still_deserialize() {
-        // SupervisionStats JSON from both earlier eras must still load:
-        // reports written before the multi-tenant service layer existed
-        // (no tenant/degraded/deduped keys), and reports written while
-        // it did (the keys present). The derive ignores keys it does
-        // not declare.
-        let pre_service = r#"{
-            "attempts": 1, "retries": 0, "backoff_ms": 0,
-            "queue_depth": 0, "breaker_state": "closed",
-            "blocks_resumed": 0, "resumed_from_checkpoint": false,
-            "hang_preemptions": 0
-        }"#;
-        let s: SupervisionStats = serde_json::from_str(pre_service).unwrap();
-        assert_eq!(s.attempts, 1);
-        assert_eq!(s.breaker_state, "closed");
-        let with_service_keys = r#"{
-            "attempts": 2, "retries": 1, "backoff_ms": 3,
-            "queue_depth": 0, "breaker_state": "closed",
-            "blocks_resumed": 0, "resumed_from_checkpoint": false,
-            "hang_preemptions": 0,
-            "tenant": "acme", "degraded": true, "deduped": false
-        }"#;
-        let s: SupervisionStats = serde_json::from_str(with_service_keys).unwrap();
-        assert_eq!(s.attempts, 2);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.backoff_ms, 3);
+    fn reports_carrying_a_supervision_key_still_deserialize() {
+        // Reports written while the supervision runtime existed carry
+        // a `supervision` key, `null` for unsupervised runs and an
+        // object for supervised ones; the parse ignores it either way.
+        let json = sample().to_json();
+        let key = json
+            .find("\"verification\"")
+            .expect("sample serializes verification");
+        for value in [
+            "null",
+            r#"{"attempts": 2, "retries": 1, "backoff_ms": 3, "queue_depth": 0,
+                "breaker_state": "closed", "blocks_resumed": 0,
+                "resumed_from_checkpoint": false, "hang_preemptions": 0}"#,
+        ] {
+            let legacy = format!(
+                "{}\"supervision\": {value},\n  {}",
+                &json[..key],
+                &json[key..]
+            );
+            let back: CompileReport = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, sample());
+        }
     }
 }

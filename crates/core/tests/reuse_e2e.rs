@@ -105,6 +105,53 @@ fn persistent_store_replays_across_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The config hash the previous search (before `SEARCH_VERSION`
+/// was folded in) gave a composition config.
+fn previous_search_hash(c: &geyser::compose::CompositionConfig) -> u64 {
+    geyser::store::fnv1a_bytes(
+        format!(
+            "reuse-cfg|eps={:?}|layers={}|iters={}|restarts={}|retries={}",
+            c.epsilon, c.max_layers, c.anneal_iters, c.restarts, c.retry_attempts
+        )
+        .as_bytes(),
+    )
+}
+
+#[test]
+fn store_written_by_the_previous_search_is_stale_not_replayed() {
+    let dir = scratch_dir("previous-search");
+    let circuit = qaoa_fixed(4, 4, 5);
+    let cfg = PipelineConfig::fast().with_seed(23).with_reuse_store(&dir);
+    let (first, _) = compile(&circuit, &cfg);
+    let saved = first.report().unwrap().reuse.unwrap().store_entries_saved;
+    assert!(saved > 0);
+
+    // Rebind every entry to the previous search's hash, as a store
+    // that search wrote would be.
+    let previous = previous_search_hash(&cfg.composition);
+    for path in geyser::store::walk_files(&dir).unwrap() {
+        let payload = geyser::store::read_record_file(&path).unwrap();
+        let mut record = geyser_reuse::parse_reuse_record(payload.text()).unwrap();
+        record.config_hash = previous;
+        let json = serde_json::to_string_pretty(&record).unwrap();
+        geyser::store::write_record_atomic(&path, &json).unwrap();
+    }
+
+    let (second, _) = compile(&circuit, &cfg);
+    let stats = second.report().unwrap().reuse.unwrap();
+    assert_eq!(stats.store_entries_loaded, 0, "{stats:?}");
+    assert_eq!(stats.store_entries_stale, saved, "{stats:?}");
+    assert_eq!(
+        stats.exact_hits,
+        first.report().unwrap().reuse.unwrap().exact_hits
+    );
+    assert_eq!(
+        second.mapped().circuit().ops(),
+        first.mapped().circuit().ops()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Outcome labels of every entry in a reuse store directory.
 fn store_outcomes(dir: &std::path::Path) -> Vec<String> {
     let mut out = Vec::new();

@@ -9,7 +9,7 @@
 //! lattice kinds). [`HardwareSpec`] gathers them into a single
 //! serde-serializable value with a stable content digest, so a
 //! scenario is one JSON file: pipelines consume it through
-//! `PipelineConfig`, and caches/checkpoints key on
+//! `PipelineConfig`, and the stores key on
 //! [`HardwareSpec::digest`] so results compiled under one hardware
 //! model can never be replayed under another.
 
@@ -61,8 +61,8 @@ impl LatticeSpec {
 /// [`HardwareSpec::paper`] reproduces the repository's historical
 /// behavior bit-identically; every other value is a counterfactual
 /// machine for sweeps and ablations. The [`digest`](Self::digest)
-/// folds every behavioral field into one `u64`, which cache keys and
-/// checkpoint bindings embed so cross-scenario replay is impossible.
+/// folds every behavioral field into one `u64`, which cache and reuse
+/// keys embed so cross-scenario replay is impossible.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HardwareSpec {
     /// Human-readable scenario label (file stems, scorecard rows).
@@ -141,7 +141,7 @@ impl HardwareSpec {
     /// canonical rendering; the label is excluded). Two specs that
     /// compile circuits identically digest identically, and any change
     /// to geometry, pulse limits, or noise changes the digest —
-    /// this is the value caches and checkpoints bind to.
+    /// this is the value the cache and reuse store bind to.
     pub fn digest(&self) -> u64 {
         let canonical = format!(
             "kind={:?}|rows={}|cols={}|spacing={:?}|radius_factor={:?}|max_parallel_blocks={}|bit_flip={:?}|phase_flip={:?}|granularity={:?}|atom_loss={:?}",
@@ -324,7 +324,7 @@ mod tests {
         assert_eq!(spec.digest(), spec.clone().digest());
         assert_eq!(spec.digest(), spec.clone().named("renamed").digest());
         // Pin the value: any change here invalidates every cache and
-        // checkpoint in the wild, so it must be deliberate.
+        // reuse store in the wild, so it must be deliberate.
         assert_eq!(spec.digest(), 0x7925_376e_27ff_4848);
     }
 

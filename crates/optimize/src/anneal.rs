@@ -47,7 +47,7 @@ pub struct DualAnnealingConfig {
     /// iterate so far) once this deadline expires.
     pub deadline: Deadline,
     /// Cooperative cancellation: polled every chain move, so a
-    /// supervisor's cancel is observed within one inner iteration.
+    /// caller's cancel is observed within one inner iteration.
     pub cancel: CancelToken,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`CancelToken`] is the prompt counterpart of [`crate::Deadline`]:
 //! where a deadline bounds a search by wall clock, a token lets an
-//! external supervisor stop it *now* — the annealing chain loop, the
+//! caller stop it *now* — the annealing chain loop, the
 //! Adam descent loop, and (higher up the stack) every compilation pass
 //! and per-block composition attempt poll the token between
 //! iterations, so cancellation is observed within one inner-loop step

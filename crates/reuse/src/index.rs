@@ -7,10 +7,18 @@ use serde::{Deserialize, Serialize};
 use crate::fingerprint::BlockFingerprint;
 use geyser_store::fnv1a_bytes;
 
+/// Version of Algorithm 2's search: bumped whenever a change moves
+/// annealer or refine trajectories, so every store keyed on the search
+/// (the reuse store here, the bench results cache) stops replaying the
+/// old search's outcomes. 1 was the search whose annealing chain ended
+/// in a Nelder–Mead polish; 2 runs the chain alone. Lives here because
+/// [`reuse_config_hash`] folds it in; `geyser-compose` re-exports it.
+pub const SEARCH_VERSION: u32 = 2;
+
 /// Hashes the composition-config fields a reuse entry depends on.
 ///
-/// Mirrors the checkpoint binding: ε, layer cap, annealing budget,
-/// restarts, and retry attempts — everything that shapes the annealed
+/// Binds [`SEARCH_VERSION`], ε, layer cap, annealing budget, restarts,
+/// and retry attempts — everything that shapes the annealed
 /// parameters. Seed, thread count, and deadline are deliberately
 /// excluded: reuse across seeds is the whole point, and threads /
 /// deadlines don't change what a converged solution looks like.
@@ -22,7 +30,7 @@ pub fn reuse_config_hash(
     retry_attempts: usize,
 ) -> u64 {
     let text = format!(
-        "reuse-cfg|eps={epsilon:?}|layers={max_layers}|iters={anneal_iters}|restarts={restarts}|retries={retry_attempts}"
+        "reuse-cfg|search={SEARCH_VERSION}|eps={epsilon:?}|layers={max_layers}|iters={anneal_iters}|restarts={restarts}|retries={retry_attempts}"
     );
     fnv1a_bytes(text.as_bytes())
 }
@@ -127,7 +135,7 @@ pub struct ReuseEntry {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReuseStats {
     /// Blocks that were fingerprinted for reuse (triangle blocks not
-    /// restored from a checkpoint).
+    /// restored from `prior` results).
     pub blocks_fingerprinted: u64,
     /// Blocks resolved by replaying a cached entry (in-process or
     /// from the persistent store), annealing skipped.

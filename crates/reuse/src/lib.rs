@@ -39,7 +39,9 @@ pub mod persist;
 pub use fingerprint::{
     canonical_digest, quantize, BlockFingerprint, COARSE_TOL_FACTOR, FINGERPRINT_TOL,
 };
-pub use index::{reuse_config_hash, ReuseEntry, ReuseKey, ReuseOutcome, ReuseSession, ReuseStats};
+pub use index::{
+    reuse_config_hash, ReuseEntry, ReuseKey, ReuseOutcome, ReuseSession, ReuseStats, SEARCH_VERSION,
+};
 pub use persist::{
     is_reuse_entry, load_reuse_dir, parse_reuse_record, reuse_entry_path, save_reuse_dir,
     LoadedReuse, ReuseRecord, REUSE_FILE_PREFIX, REUSE_VERSION,

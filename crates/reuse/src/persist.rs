@@ -25,7 +25,9 @@ use crate::index::{ReuseEntry, ReuseKey, ReuseOutcome, ReuseSession};
 use geyser_store::{load_record_quarantining, walk_files, write_record_atomic, StoreReadError};
 use geyser_telemetry::Telemetry;
 
-/// Version stamp of the on-disk reuse record schema.
+/// Version stamp of the on-disk reuse record schema. The search an
+/// entry came from is bound by its config hash
+/// ([`crate::SEARCH_VERSION`]), not here.
 pub const REUSE_VERSION: u32 = 1;
 
 /// File-name prefix of reuse store entries.

@@ -1,7 +1,6 @@
 //! The one store-file protocol shared by every persistent store (the
-//! bench compile cache, the supervisor's composition checkpoints, the
-//! cross-job composition reuse store, and the verifier's quarantine
-//! corpus): how a file is staged, committed, read, validated,
+//! bench compile cache, the cross-job composition reuse store, and the
+//! verifier's quarantine corpus): how a file is staged, committed, read, validated,
 //! quarantined and found.
 //!
 //! * **Writes** are staged to a temp sibling whose name is unique per
@@ -66,7 +65,6 @@ pub const STORE_CORRUPT_COUNTER: &str = "store_corrupt_total";
 pub fn store_corrupt_kind_counter(label: &str) -> &'static str {
     match label {
         "cache" => "store_corrupt_total.cache",
-        "checkpoint" => "store_corrupt_total.checkpoint",
         "reuse" => "store_corrupt_total.reuse",
         _ => "store_corrupt_total.other",
     }
@@ -76,8 +74,8 @@ pub fn store_corrupt_kind_counter(label: &str) -> &'static str {
 /// checksum + newline.
 const HEADER_LEN: usize = RECORD_MAGIC.len() + 1 + 16 + 1 + 16 + 1;
 
-/// FNV-1a over raw bytes — the same scheme the cache and checkpoint
-/// fingerprints use, applied to file contents.
+/// FNV-1a over raw bytes — the same scheme the cache and reuse keys
+/// use, applied to file contents.
 pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -405,11 +403,10 @@ pub fn write_record_atomic(path: &Path, payload: &str) -> std::io::Result<()> {
 }
 
 /// Reads `path` once and runs `check` over its bytes, **without**
-/// quarantining — for scanners (`repair`'s audits, the chaos store
-/// audit) that must observe corruption in place. A failed check is
-/// [`StoreReadError::Corrupt`] carrying the FNV-1a digest of the file
-/// bytes; a missing file is [`StoreReadError::Io`].
-pub fn read_checked<T>(
+/// quarantining — for readers that must observe corruption in place.
+/// A failed check is [`StoreReadError::Corrupt`] carrying the FNV-1a
+/// digest of the file bytes; a missing file is [`StoreReadError::Io`].
+fn read_checked<T>(
     path: &Path,
     check: impl FnOnce(&[u8]) -> Result<T, String>,
 ) -> Result<T, StoreReadError> {
@@ -445,7 +442,7 @@ pub fn load_record_quarantining<T>(
 /// Lifts a payload `parse` into a check over file bytes: verify the
 /// frame first, then parse. For [`read_checked`] /
 /// [`load_record_quarantining`].
-pub fn framed<T>(
+fn framed<T>(
     parse: impl FnOnce(RecordPayload) -> Result<T, String>,
 ) -> impl FnOnce(&[u8]) -> Result<T, String> {
     move |bytes| parse(decode_record(bytes).map_err(|e| e.to_string())?)

@@ -3,7 +3,7 @@
 //!
 //! The subsystem is built around a single cheap [`Telemetry`] handle
 //! that is threaded through `CompileContext` so every layer — pass
-//! manager, mapper, blocker, composer, simulator, supervisor — can
+//! manager, mapper, blocker, composer, simulator, bench harness — can
 //! open hierarchical spans and bump named metrics without knowing who
 //! (if anyone) is listening.
 //!
@@ -31,7 +31,7 @@
 //!
 //! * [`Telemetry::chrome_trace_json`] — trace-event JSON with balanced
 //!   `B`/`E` pairs, loadable in `chrome://tracing` or Perfetto.
-//! * [`Telemetry::metrics_snapshot`] — counters, gauges, and log₂
+//! * [`Telemetry::metrics_snapshot`] — counters and log₂
 //!   histograms as a serializable [`MetricsSnapshot`], folded into the
 //!   bench `--report` JSON.
 
@@ -43,8 +43,8 @@ mod span;
 
 pub use export::{validate_chrome_trace, ChromeEvent, TraceSummary};
 pub use metrics::{
-    histogram_bucket_index, histogram_bucket_lo, CounterEntry, GaugeEntry, HistogramBucket,
-    HistogramEntry, MetricsSnapshot,
+    histogram_bucket_index, histogram_bucket_lo, CounterEntry, HistogramBucket, HistogramEntry,
+    MetricsSnapshot,
 };
 pub use span::{SpanGuard, SpanRecord};
 
@@ -188,7 +188,7 @@ impl Telemetry {
 
     /// Opens a span under category `cat` (by convention the crate
     /// short-name: `core`, `map`, `blocking`, `compose`, `sim`,
-    /// `supervisor`, `bench`). The span closes — and is recorded —
+    /// `bench`). The span closes — and is recorded —
     /// when the returned guard drops, including during unwinding, so a
     /// panicking pass never leaves an orphaned open span.
     pub fn span(&self, cat: &'static str, name: &'static str) -> SpanGuard {
@@ -202,14 +202,6 @@ impl Telemetry {
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = self.active() {
             inner.registry().counter_add(name, delta);
-        }
-    }
-
-    /// Sets the named gauge, tracking both the last and the maximum
-    /// value observed.
-    pub fn gauge_set(&self, name: &'static str, value: i64) {
-        if let Some(inner) = self.active() {
-            inner.registry().gauge_set(name, value);
         }
     }
 
@@ -247,7 +239,7 @@ impl Telemetry {
         self.inner.as_ref().map(|inner| inner.collect_spans())
     }
 
-    /// Metrics snapshot (counters, gauges, histograms plus span
+    /// Metrics snapshot (counters, histograms plus span
     /// accounting). `None` on a disabled handle.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.inner.as_ref().map(|inner| {
@@ -407,15 +399,11 @@ mod tests {
         let tel = Telemetry::enabled();
         tel.counter_add("map.swaps_inserted", 3);
         tel.counter_add("map.swaps_inserted", 4);
-        tel.gauge_set("supervisor.queue_depth", 5);
-        tel.gauge_set("supervisor.queue_depth", 2);
         tel.histogram_record("compose.acceptance_permille", 500);
         assert_eq!(tel.counter_value("map.swaps_inserted"), Some(7));
         let snap = tel.metrics_snapshot().unwrap();
         assert_eq!(snap.counters.len(), 1);
         assert_eq!(snap.counters[0].value, 7);
-        let gauge = &snap.gauges[0];
-        assert_eq!((gauge.last, gauge.max), (2, 5));
         assert_eq!(snap.histograms[0].count, 1);
     }
 }

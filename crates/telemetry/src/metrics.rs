@@ -1,4 +1,4 @@
-//! Named counters, gauges, and log₂ histograms.
+//! Named counters and log₂ histograms.
 
 use std::collections::BTreeMap;
 
@@ -27,10 +27,6 @@ pub fn histogram_bucket_lo(index: usize) -> u64 {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(u64),
-    Gauge {
-        last: i64,
-        max: i64,
-    },
     Histogram {
         count: u64,
         sum: u64,
@@ -50,19 +46,6 @@ impl Registry {
         match self.metrics.entry(name).or_insert(Metric::Counter(0)) {
             Metric::Counter(value) => *value = value.saturating_add(delta),
             _ => debug_assert!(false, "metric {name} is not a counter"),
-        }
-    }
-
-    pub(crate) fn gauge_set(&mut self, name: &'static str, value: i64) {
-        match self.metrics.entry(name).or_insert(Metric::Gauge {
-            last: value,
-            max: value,
-        }) {
-            Metric::Gauge { last, max } => {
-                *last = value;
-                *max = (*max).max(value);
-            }
-            _ => debug_assert!(false, "metric {name} is not a gauge"),
         }
     }
 
@@ -95,7 +78,6 @@ impl Registry {
     pub(crate) fn snapshot(&self, spans_recorded: u64, spans_dropped: u64) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             counters: Vec::new(),
-            gauges: Vec::new(),
             histograms: Vec::new(),
             spans_recorded,
             spans_dropped,
@@ -105,11 +87,6 @@ impl Registry {
                 Metric::Counter(value) => snap.counters.push(CounterEntry {
                     name: name.to_string(),
                     value: *value,
-                }),
-                Metric::Gauge { last, max } => snap.gauges.push(GaugeEntry {
-                    name: name.to_string(),
-                    last: *last,
-                    max: *max,
                 }),
                 Metric::Histogram {
                     count,
@@ -144,8 +121,6 @@ impl Registry {
 pub struct MetricsSnapshot {
     /// Monotonic counters, sorted by name.
     pub counters: Vec<CounterEntry>,
-    /// Gauges (last and max observed), sorted by name.
-    pub gauges: Vec<GaugeEntry>,
     /// Log₂ histograms, sorted by name.
     pub histograms: Vec<HistogramEntry>,
     /// Spans successfully recorded.
@@ -171,17 +146,6 @@ pub struct CounterEntry {
     pub name: String,
     /// Accumulated value.
     pub value: u64,
-}
-
-/// One gauge in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaugeEntry {
-    /// Metric name (e.g. `supervisor.queue_depth`).
-    pub name: String,
-    /// Last value set.
-    pub last: i64,
-    /// Maximum value ever set.
-    pub max: i64,
 }
 
 /// One histogram in a [`MetricsSnapshot`]. Only non-empty buckets are
@@ -250,7 +214,6 @@ mod tests {
         let mut reg = Registry::default();
         reg.counter_add("c", 41);
         reg.counter_add("c", 1);
-        reg.gauge_set("g", -3);
         reg.histogram_record("h", 9);
         let snap = reg.snapshot(10, 2);
         let json = serde_json::to_string(&snap).unwrap();

@@ -15,7 +15,7 @@
 //! * [`quarantine`] — the on-disk corpus of minimized reproducers
 //!   that `replay` re-runs as regression tests.
 //! * [`invariants`] — the plain-data global invariants chaos
-//!   campaigns hold the supervised runtime to.
+//!   campaigns hold the compile pipeline to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,8 +28,8 @@ pub mod quarantine;
 
 pub use fuzz::{derive_seed, generate_case, generate_cases, FuzzCase, FuzzOptions};
 pub use invariants::{
-    check_campaign_jobs, check_reuse, check_store_scan, ChaosInvariant, InvariantViolation,
-    JobObservation, ReuseObservation, StoreFileObservation, StoreFileStatus,
+    check_campaign_jobs, check_reuse, ChaosInvariant, InvariantViolation, JobObservation,
+    ReuseObservation,
 };
 pub use minimize::{minimize, MinimizeStats};
 pub use oracle::{

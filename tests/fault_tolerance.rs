@@ -8,7 +8,7 @@ use std::time::Duration;
 use geyser::passes::{AllocateLatticePass, BlockPass, ComposePass, MapPass, SeamCleanupPass};
 use geyser::{
     evaluate_tvd, try_evaluate_tvd_with_faults, CancelToken, CompileContext, CompileError,
-    ErrorClass, FaultInjector, Pass, PassManager, PipelineConfig, Technique,
+    FaultInjector, Pass, PassManager, PipelineConfig, Technique,
 };
 use geyser_sim::{NoiseModel, SimError, SimFaults, MAX_TRAJECTORY_RETRIES};
 use geyser_workloads::{ghz, qaoa};
@@ -220,7 +220,6 @@ fn pre_cancelled_run_fails_typed_before_any_pass() {
         CompileError::Cancelled { ref pass } => assert_eq!(pass, "allocate-lattice"),
         ref other => panic!("expected Cancelled at the first pass, got {other}"),
     }
-    assert_eq!(err.class(), ErrorClass::Cancelled);
 }
 
 #[test]
@@ -290,7 +289,7 @@ fn cancel_mid_compose_is_typed_and_leaves_no_poison() {
         .run(&program, &fast());
     trigger.join().unwrap();
     if let Err(err) = outcome {
-        assert_eq!(err.class(), ErrorClass::Cancelled, "got {err:?}");
+        assert!(matches!(err, CompileError::Cancelled { .. }), "got {err:?}");
     }
     // The fired token is reused: a fresh run over the same shared
     // machinery must fail typed, proving no lock was poisoned.
@@ -298,7 +297,7 @@ fn cancel_mid_compose_is_typed_and_leaves_no_poison() {
         .with_cancel(token)
         .run(&program, &fast())
         .expect_err("token is still cancelled");
-    assert_eq!(err.class(), ErrorClass::Cancelled);
+    assert!(matches!(err, CompileError::Cancelled { .. }), "got {err:?}");
 }
 
 #[test]
