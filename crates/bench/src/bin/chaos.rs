@@ -63,14 +63,13 @@ fn draw_schedule(seed: u64) -> &'static str {
     ["", "pass-panic:block", "compose-timeout"][(splitmix64(seed) % 3) as usize]
 }
 
-/// Composes the drawn schedule with the user's extra `--inject` spec
+/// Composes the drawn schedule with the user's extra `--inject` plan
 /// (empty tokens parse to nothing, so either side may be empty).
-fn composed_faults(schedule: &str, extra: Option<&str>) -> FaultInjector {
-    let spec = format!("{schedule},{}", extra.unwrap_or(""));
-    FaultInjector::parse(&spec).unwrap_or_else(|e| {
-        eprintln!("error: composed fault spec '{spec}': {e}");
-        std::process::exit(exit_codes::USAGE);
-    })
+fn composed_faults(schedule: &str, extra: &FaultInjector) -> FaultInjector {
+    // invariant: the menu holds only valid tokens and `extra.spec()`
+    // renders a parsed plan, so their join always parses.
+    FaultInjector::parse(&format!("{schedule},{}", extra.spec()))
+        .expect("menu tokens and a parsed plan compose")
 }
 
 /// Everything one campaign produced, scorecard-ready.
@@ -124,7 +123,7 @@ fn run_campaign(
     techniques: &[Technique],
 ) -> CampaignCard {
     let seed = splitmix64(master_seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let faults = composed_faults(draw_schedule(seed), cli.inject.as_deref());
+    let faults = composed_faults(draw_schedule(seed), &cli.inject);
 
     // Small workloads keep a campaign to seconds; the faults under
     // test act on the pipeline, not on the annealer.
@@ -288,11 +287,7 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
     // Faulted recompile: the composed `--inject` spec is applied to
     // the same store. With `reuse-poison,reuse-skip-verify` planted,
     // the doctored entries escape unverified and invariant 2 trips.
-    let faults = match cli.inject.as_deref() {
-        Some(spec) => FaultInjector::parse(spec).expect("validated in main"),
-        None => FaultInjector::none(),
-    };
-    let (faulted_stats, faulted_verified) = compile(faults);
+    let (faulted_stats, faulted_verified) = compile(cli.inject.clone());
     let faulted = observe_reuse(&faulted_stats, Some(faulted_verified));
     violations.extend(check_reuse(&faulted));
 
@@ -309,14 +304,6 @@ fn run_reuse_leg(cli: &Cli) -> ReuseLegCard {
 
 fn main() {
     let cli = Cli::parse();
-    // Reject a malformed --inject up front, not on the first campaign
-    // that happens to compose it.
-    if let Some(extra) = cli.inject.as_deref() {
-        if let Err(e) = FaultInjector::parse(extra) {
-            eprintln!("error: --inject: {e}");
-            std::process::exit(exit_codes::USAGE);
-        }
-    }
     let techniques = cli.effective_techniques(&[Technique::Baseline, Technique::Geyser]);
 
     let mut campaigns = Vec::new();

@@ -95,7 +95,7 @@ fn main() {
     if cli.reuse {
         cfg = cfg.with_reuse().with_reuse_warm_start(cli.reuse_warm_start);
     }
-    let faults = cli.fault_injector();
+    let faults = &cli.inject;
     let vcfg = VerifyConfig::default().with_seed(cli.seed);
     let opts = FuzzOptions {
         seed: cli.seed,
@@ -122,7 +122,7 @@ fn main() {
                 &case.circuit,
                 technique,
                 &case_cfg,
-                &faults,
+                faults,
                 &vcfg,
                 &Telemetry::disabled(),
             ) {
@@ -131,7 +131,7 @@ fn main() {
             };
             failures += 1;
             quarantine_failure(
-                &cli, &case_cfg, &faults, &vcfg, &case, technique, &failure, &qdir,
+                &cli, &case_cfg, faults, &vcfg, &case, technique, &failure, &qdir,
             );
         }
     }
@@ -192,7 +192,7 @@ fn quarantine_failure(
         technique: technique.label().to_string(),
         config: cli.config_tag(),
         seed: case.seed,
-        inject: cli.inject.clone(),
+        inject: (!cli.inject.is_empty()).then(|| cli.inject.spec()),
         failure: failure_text,
         method,
         worst_fidelity,

@@ -104,7 +104,7 @@ pub(crate) static CWD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 pub const CACHE_VERSION_MISS_COUNTER: &str = "bench.cache_version_miss_total";
 
 /// How a frame-valid cache payload classifies for the `repair`
-/// scanner, which cannot see the private [`CachedCompile`] schema.
+/// scanner, which cannot see the private `CachedCompile` schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CachePayloadStatus {
     /// Parses and carries the current schema version.

@@ -114,8 +114,8 @@ pub struct Cli {
     pub report: Option<String>,
     /// Wall-clock budget per compilation in milliseconds.
     pub budget_ms: Option<u64>,
-    /// Raw fault-injection spec (`--inject`).
-    pub inject: Option<String>,
+    /// Fault plan parsed from `--inject` (empty without the flag).
+    pub inject: FaultInjector,
     /// Run compiled circuits through the equivalence oracle
     /// (`--verify`).
     pub verify: bool,
@@ -172,7 +172,7 @@ impl Default for Cli {
             json: None,
             report: None,
             budget_ms: None,
-            inject: None,
+            inject: FaultInjector::none(),
             verify: false,
             reuse: false,
             reuse_store: None,
@@ -226,13 +226,10 @@ impl Cli {
                     cli.budget_ms = Some(value("--budget-ms").parse().expect("integer"))
                 }
                 "--inject" => {
-                    let spec = value("--inject");
-                    // Validate at the CLI boundary so a typo fails
-                    // with a pointed message before any compilation.
-                    if let Err(e) = FaultInjector::parse(&spec) {
-                        exit_bad_inject(&e);
-                    }
-                    cli.inject = Some(spec);
+                    // Parse at the CLI boundary so a typo fails with a
+                    // pointed message before any compilation.
+                    cli.inject = FaultInjector::parse(&value("--inject"))
+                        .unwrap_or_else(|e| exit_bad_inject(&e));
                 }
                 "--verify" => cli.verify = true,
                 "--reuse" => cli.reuse = true,
@@ -335,24 +332,6 @@ impl Cli {
             Some(spec) if !self.noise_explicit => spec.noise,
             _ => NoiseModel::symmetric(self.noise),
         }
-    }
-
-    /// The fault plan implied by `--inject` (empty without the flag),
-    /// or the typed parse error for a malformed spec.
-    pub fn try_fault_injector(&self) -> Result<FaultInjector, FaultSpecError> {
-        match &self.inject {
-            Some(spec) => FaultInjector::parse(spec),
-            None => Ok(FaultInjector::none()),
-        }
-    }
-
-    /// The fault plan implied by `--inject`, exiting the process with
-    /// a friendly usage message on a malformed spec (CLI entry path —
-    /// library callers wanting the error should use
-    /// [`Cli::try_fault_injector`]).
-    pub fn fault_injector(&self) -> FaultInjector {
-        self.try_fault_injector()
-            .unwrap_or_else(|e| exit_bad_inject(&e))
     }
 
     /// The techniques a binary should compile: the explicit
@@ -501,7 +480,7 @@ pub fn compile_techniques(
     cfg: &PipelineConfig,
 ) -> Vec<(Technique, CompiledCircuit)> {
     let tag = cli.config_tag();
-    let faults = cli.fault_injector();
+    let faults = &cli.inject;
     let verify_cfg = cli.verify_config();
     let bypass_cache =
         cli.telemetry.is_enabled() || cli.budget_ms.is_some() || cli.reuse || !faults.is_empty();
@@ -791,40 +770,6 @@ mod tests {
         };
         assert!(cli.pipeline_config().budget.is_bounded());
         assert!(!Cli::default().pipeline_config().budget.is_bounded());
-    }
-
-    #[test]
-    fn inject_flag_parses_to_a_fault_plan() {
-        let cli = Cli {
-            inject: Some("compose-corrupt:0,compose-timeout".into()),
-            ..Cli::default()
-        };
-        let plan = cli.fault_injector();
-        assert!(plan.force_compose_timeout);
-        assert_eq!(plan.compose.corrupt_blocks, vec![0]);
-        assert!(Cli::default().fault_injector().is_empty());
-    }
-
-    #[test]
-    fn malformed_inject_spec_yields_typed_error_not_panic() {
-        let cli = Cli {
-            inject: Some("frobnicate:7".into()),
-            ..Cli::default()
-        };
-        let err = cli.try_fault_injector().unwrap_err();
-        assert!(matches!(err, FaultSpecError::UnknownKind { .. }));
-        assert!(err.to_string().contains("frobnicate"));
-    }
-
-    #[test]
-    fn bad_index_inject_spec_names_the_offending_token() {
-        let cli = Cli {
-            inject: Some("compose-corrupt:banana".into()),
-            ..Cli::default()
-        };
-        let err = cli.try_fault_injector().unwrap_err();
-        assert!(matches!(err, FaultSpecError::BadIndex { .. }));
-        assert!(err.to_string().contains("banana"));
     }
 
     #[test]

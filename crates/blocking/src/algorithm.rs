@@ -144,36 +144,30 @@ pub fn block_circuit(
     lattice: &Lattice,
     config: &BlockingConfig,
 ) -> BlockedCircuit {
-    try_block_circuit(circuit, lattice, config).unwrap_or_else(|e| panic!("{e}"))
+    try_block_circuit_traced(circuit, lattice, config, &Telemetry::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible form of [`block_circuit`]: returns
 /// [`BlockError::RegisterMismatch`] instead of panicking when the
 /// circuit is not expressed over the lattice's node space.
 ///
+/// Opens a span per round of the block-family search (category
+/// `blocking`) and counts the rounds and blocks produced. Telemetry is
+/// observational only: a disabled handle gives the same blocks.
+///
 /// # Example
 ///
 /// ```
-/// use geyser_blocking::{try_block_circuit, BlockError, BlockingConfig};
+/// use geyser_blocking::{try_block_circuit_traced, BlockError, BlockingConfig};
 /// use geyser_circuit::Circuit;
+/// use geyser_telemetry::Telemetry;
 /// use geyser_topology::Lattice;
 /// let lat = Lattice::triangular(2, 2); // 4 nodes
 /// let c = Circuit::new(3); // not over the node space
-/// let err = try_block_circuit(&c, &lat, &BlockingConfig::default());
+/// let err = try_block_circuit_traced(&c, &lat, &BlockingConfig::default(), &Telemetry::disabled());
 /// assert!(matches!(err, Err(BlockError::RegisterMismatch { .. })));
 /// ```
-pub fn try_block_circuit(
-    circuit: &Circuit,
-    lattice: &Lattice,
-    config: &BlockingConfig,
-) -> Result<BlockedCircuit, BlockError> {
-    try_block_circuit_traced(circuit, lattice, config, &Telemetry::disabled())
-}
-
-/// [`try_block_circuit`] with telemetry: opens a span per round of the
-/// block-family search (category `blocking`) and counts the rounds and
-/// blocks produced. A disabled handle makes this identical to the
-/// untraced form.
 pub fn try_block_circuit_traced(
     circuit: &Circuit,
     lattice: &Lattice,

@@ -43,6 +43,6 @@ mod algorithm;
 mod block;
 mod error;
 
-pub use algorithm::{block_circuit, try_block_circuit, try_block_circuit_traced, BlockingConfig};
+pub use algorithm::{block_circuit, try_block_circuit_traced, BlockingConfig};
 pub use block::{Block, BlockedCircuit, Round};
 pub use error::BlockError;

@@ -286,17 +286,6 @@ impl Circuit {
         crate::asap_layers(self).len()
     }
 
-    /// Average operations per ASAP layer — a crude measure of the
-    /// program's inherent gate-level parallelism (1.0 = fully serial).
-    pub fn mean_parallelism(&self) -> f64 {
-        let depth = self.gate_depth();
-        if depth == 0 {
-            0.0
-        } else {
-            self.len() as f64 / depth as f64
-        }
-    }
-
     /// The inverse circuit `C⁻¹`: operations reversed, each gate
     /// inverted. Running `C` then `C.inverted()` is the identity —
     /// the basis of mirror/Loschmidt-echo benchmarking.
@@ -456,14 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn gate_depth_and_parallelism() {
+    fn gate_depth_counts_asap_layers() {
         let mut c = Circuit::new(4);
         c.h(0).h(1).h(2).h(3); // one layer
         c.cz(0, 1).cz(2, 3); // one layer
         assert_eq!(c.gate_depth(), 2);
-        assert!((c.mean_parallelism() - 3.0).abs() < 1e-12);
         assert_eq!(Circuit::new(2).gate_depth(), 0);
-        assert_eq!(Circuit::new(2).mean_parallelism(), 0.0);
     }
 
     #[test]

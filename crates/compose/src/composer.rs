@@ -963,15 +963,16 @@ pub fn compose_blocked_circuit(
     blocked: &BlockedCircuit,
     config: &CompositionConfig,
 ) -> ComposedCircuit {
-    try_compose_blocked_circuit(blocked, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`compose_blocked_circuit`] with no fault hooks.
-pub fn try_compose_blocked_circuit(
-    blocked: &BlockedCircuit,
-    config: &CompositionConfig,
-) -> Result<ComposedCircuit, ComposeError> {
-    try_compose_blocked_circuit_with_faults(blocked, config, &ComposeFaults::none())
+    try_compose_blocked_circuit_supervised(
+        blocked,
+        config,
+        &ComposeFaults::none(),
+        &CancelToken::none(),
+        &[],
+        None,
+        &Telemetry::disabled(),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Callback invoked by the composition pool as each block finishes.
@@ -997,34 +998,16 @@ fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`try_compose_blocked_circuit`] with test/bench-only fault
-/// injection.
-///
-/// Each block's composition runs under `catch_unwind`: a panicking
-/// block (injected or real) records [`BlockOutcome::Failed`], keeps
-/// its original pulses, and never poisons the worker pool — the scope
-/// always joins cleanly and the remaining blocks compose normally.
-pub fn try_compose_blocked_circuit_with_faults(
-    blocked: &BlockedCircuit,
-    config: &CompositionConfig,
-    faults: &ComposeFaults,
-) -> Result<ComposedCircuit, ComposeError> {
-    try_compose_blocked_circuit_supervised(
-        blocked,
-        config,
-        faults,
-        &CancelToken::none(),
-        &[],
-        None,
-        &Telemetry::disabled(),
-    )
-}
-
-/// The full composition entry point: fault injection plus
+/// Fallible form of [`compose_blocked_circuit`]: fault injection plus
 /// cooperative cancellation, restored prior results, and per-block
 /// completion observation. The pipeline passes no `prior` and no
 /// `observer`; both stay for callers that drive the layers directly.
 ///
+/// * `faults` — test/bench-only fault injection. Each block's
+///   composition runs under `catch_unwind`: a panicking block
+///   (injected or real) records [`BlockOutcome::Failed`], keeps its
+///   original pulses, and never poisons the worker pool — the scope
+///   always joins cleanly and the remaining blocks compose normally.
 /// * `cancel` — polled before every block and inside every annealing
 ///   chain move; once fired, remaining blocks fall back with
 ///   [`FallbackReason::Cancelled`] and the pool drains promptly.
@@ -1907,9 +1890,16 @@ mod tests {
             panic_blocks: vec![eligible[0]],
             ..ComposeFaults::none()
         };
-        let composed =
-            try_compose_blocked_circuit_with_faults(&blocked, &CompositionConfig::fast(), &faults)
-                .expect("panic must be isolated per block, not surfaced");
+        let composed = try_compose_blocked_circuit_supervised(
+            &blocked,
+            &CompositionConfig::fast(),
+            &faults,
+            &CancelToken::none(),
+            &[],
+            None,
+            &Telemetry::disabled(),
+        )
+        .expect("panic must be isolated per block, not surfaced");
         assert_eq!(composed.stats.blocks_failed, 1);
         match &composed.outcomes[eligible[0]] {
             BlockOutcome::Failed { detail } => {
@@ -1931,9 +1921,16 @@ mod tests {
             corrupt_blocks: all,
             ..ComposeFaults::none()
         };
-        let composed =
-            try_compose_blocked_circuit_with_faults(&blocked, &CompositionConfig::fast(), &faults)
-                .expect("corruption must degrade, not error");
+        let composed = try_compose_blocked_circuit_supervised(
+            &blocked,
+            &CompositionConfig::fast(),
+            &faults,
+            &CancelToken::none(),
+            &[],
+            None,
+            &Telemetry::disabled(),
+        )
+        .expect("corruption must degrade, not error");
         // No corrupted candidate may slip through the ε re-check: every
         // eligible block either legitimately fell back or had its
         // corrupted winner rejected — so the output equals the source.

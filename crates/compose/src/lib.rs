@@ -42,9 +42,8 @@ mod quad;
 
 pub use ansatz::{Ansatz, Entangler};
 pub use composer::{
-    compose_block, compose_blocked_circuit, try_compose_block, try_compose_blocked_circuit,
-    try_compose_blocked_circuit_reusing, try_compose_blocked_circuit_supervised,
-    try_compose_blocked_circuit_with_faults, BlockObserver, BlockOutcome, ComposeFaults,
+    compose_block, compose_blocked_circuit, try_compose_block, try_compose_blocked_circuit_reusing,
+    try_compose_blocked_circuit_supervised, BlockObserver, BlockOutcome, ComposeFaults,
     ComposedCircuit, CompositionConfig, CompositionResult, CompositionStats, FallbackReason,
 };
 pub use error::ComposeError;

@@ -70,14 +70,6 @@ pub enum CompileError {
     },
     /// Simulation failed a numerical health check during evaluation.
     Sim(SimError),
-    /// The equivalence oracle rejected the compiled circuit: its
-    /// semantics diverged from the source program beyond tolerance.
-    VerificationFailed {
-        /// Oracle method that ran (`exact-unitary`, `state-probes`).
-        method: String,
-        /// What the oracle measured.
-        detail: String,
-    },
     /// The persistent composition-reuse store could not be read or
     /// written (I/O failure outside the quarantine path — corrupt
     /// *entries* are quarantined and never surface here).
@@ -124,9 +116,6 @@ impl fmt::Display for CompileError {
                 write!(f, "compilation cancelled at pass '{pass}'")
             }
             CompileError::Sim(e) => write!(f, "simulation failed: {e}"),
-            CompileError::VerificationFailed { method, detail } => {
-                write!(f, "equivalence verification ({method}) failed: {detail}")
-            }
             CompileError::ReuseStore { detail } => {
                 write!(f, "reuse store failed: {detail}")
             }

@@ -117,43 +117,25 @@ pub fn try_evaluate_tvd(
     trajectories: usize,
     seed: u64,
 ) -> Result<TvdReport, CompileError> {
-    try_evaluate_tvd_with_faults(
-        compiled,
-        program,
-        noise,
-        trajectories,
-        seed,
-        &SimFaults::none(),
-    )
-}
-
-/// [`try_evaluate_tvd`] with test/bench-only sampler fault injection
-/// (see [`crate::FaultInjector`]).
-///
-/// Numerical-health failures that survive the sampler's bounded
-/// rejection-and-resample surface as [`CompileError::Sim`].
-pub fn try_evaluate_tvd_with_faults(
-    compiled: &CompiledCircuit,
-    program: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    faults: &SimFaults,
-) -> Result<TvdReport, CompileError> {
     try_evaluate_tvd_traced(
         compiled,
         program,
         noise,
         trajectories,
         seed,
-        faults,
+        &SimFaults::none(),
         &Telemetry::disabled(),
     )
 }
 
-/// [`try_evaluate_tvd_with_faults`] recording sampler telemetry
-/// (`sim.sample` span, trajectory/resample counters). Observational
-/// only: results are bit-identical with telemetry enabled or disabled.
+/// [`try_evaluate_tvd`] with test/bench-only sampler fault injection
+/// (see [`crate::FaultInjector`]) and sampler telemetry (`sim.sample`
+/// span, trajectory/resample counters).
+///
+/// Numerical-health failures that survive the sampler's bounded
+/// rejection-and-resample surface as [`CompileError::Sim`]. Telemetry
+/// is observational only: results are bit-identical with it enabled
+/// or disabled.
 #[allow(clippy::too_many_arguments)]
 pub fn try_evaluate_tvd_traced(
     compiled: &CompiledCircuit,

@@ -323,6 +323,13 @@ mod tests {
                 expected: "trajectory"
             })
         );
+        // The message names the offending token.
+        let err = FaultInjector::parse("frobnicate:7").unwrap_err();
+        assert!(matches!(err, FaultSpecError::UnknownKind { .. }));
+        assert!(err.to_string().contains("frobnicate"), "{err}");
+        let err = FaultInjector::parse("compose-corrupt:banana").unwrap_err();
+        assert!(matches!(err, FaultSpecError::BadIndex { .. }));
+        assert!(err.to_string().contains("banana"), "{err}");
         assert!(FaultInjector::parse("pass-panic").is_err());
         assert!(FaultInjector::parse("hang-pass").is_err());
         assert!(FaultInjector::parse("miscompile").is_err());

@@ -55,7 +55,7 @@ pub use config::PipelineConfig;
 pub use error::CompileError;
 pub use evaluate::{
     estimated_success_probability, evaluate_tvd, ideal_logical_distribution, try_evaluate_tvd,
-    try_evaluate_tvd_traced, try_evaluate_tvd_with_faults, TvdReport,
+    try_evaluate_tvd_traced, TvdReport,
 };
 pub use fault::{splitmix64, FaultInjector, FaultSpecError};
 pub use geyser_store::{
@@ -70,7 +70,7 @@ pub use report::{CompileReport, PassReport, VerificationStats};
 // re-export.
 pub use geyser_store as store;
 pub use technique::{compile, try_compile, Technique};
-pub use verify::{verification_allowance, verification_stats, verify_compiled};
+pub use verify::verify_compiled;
 
 // Re-export the component crates so downstream users need only one
 // dependency.

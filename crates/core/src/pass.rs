@@ -21,7 +21,7 @@ use geyser_topology::Lattice;
 
 use geyser_circuit::{Gate, Operation};
 
-use crate::report::{CompileReport, PassReport, VerificationStats};
+use crate::report::{CompileReport, PassReport};
 use crate::{CompileError, CompiledCircuit, FaultInjector, PipelineConfig, Technique};
 
 /// Largest physical register (lattice nodes) the debug-mode
@@ -47,7 +47,6 @@ pub struct CompileContext<'a> {
     blocked: Option<BlockedCircuit>,
     composed: Option<Circuit>,
     composition: Option<CompositionStats>,
-    verification: Option<VerificationStats>,
 }
 
 impl<'a> CompileContext<'a> {
@@ -66,7 +65,6 @@ impl<'a> CompileContext<'a> {
             blocked: None,
             composed: None,
             composition: None,
-            verification: None,
         }
     }
 
@@ -185,16 +183,6 @@ impl<'a> CompileContext<'a> {
         self.composition.as_ref()
     }
 
-    /// The equivalence-oracle verdict, if a verify pass has run.
-    pub fn verification(&self) -> Option<&VerificationStats> {
-        self.verification.as_ref()
-    }
-
-    /// Installs the oracle verdict (the verify pass).
-    pub fn set_verification(&mut self, stats: VerificationStats) {
-        self.verification = Some(stats);
-    }
-
     /// The pipeline's current best view of the circuit: the composed
     /// circuit if one is pending cleanup, else the mapped physical
     /// circuit, else the logical program.
@@ -208,7 +196,7 @@ impl<'a> CompileContext<'a> {
         }
     }
 
-    fn into_compiled(mut self, mut report: CompileReport) -> Result<CompiledCircuit, CompileError> {
+    fn into_compiled(mut self, report: CompileReport) -> Result<CompiledCircuit, CompileError> {
         let mut mapped = self.mapped.take().ok_or(CompileError::MissingStage {
             pass: "finalize",
             requires: "map",
@@ -226,7 +214,6 @@ impl<'a> CompileContext<'a> {
             let corrupted = miscompile(mapped.circuit(), &self.faults.miscompile_gates);
             mapped = mapped.with_circuit(corrupted);
         }
-        report.verification = self.verification.take();
         Ok(CompiledCircuit::with_report(
             self.technique,
             mapped,
@@ -339,17 +326,6 @@ impl PassManager {
     /// Appends a pass to the end of the list.
     pub fn push(&mut self, pass: Box<dyn Pass>) {
         self.passes.push(pass);
-    }
-
-    /// Appends the equivalence-oracle [`crate::passes::VerifyPass`]:
-    /// after every other pass, the compiled circuit is checked against
-    /// the source program and the verdict is recorded on the report; a
-    /// failed check aborts the run with
-    /// [`CompileError::VerificationFailed`].
-    pub fn with_verification(mut self, cfg: geyser_verify::VerifyConfig) -> Self {
-        self.passes
-            .push(Box::new(crate::passes::VerifyPass::new(cfg)));
-        self
     }
 
     /// Names of the scheduled passes, in order.

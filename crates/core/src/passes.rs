@@ -1,10 +1,10 @@
 //! Built-in passes: the paper's pipeline stages wrapped as [`Pass`]es.
 //!
 //! Each pass is a thin adapter over its home crate's fallible entry
-//! point (`geyser_map::try_map_circuit`,
-//! `geyser_blocking::try_block_circuit`,
-//! `geyser_compose::try_compose_blocked_circuit`); the algorithms
-//! themselves live in those crates.
+//! point (`geyser_map::try_map_circuit_traced`,
+//! `geyser_blocking::try_block_circuit_traced`,
+//! `geyser_compose::try_compose_blocked_circuit_reusing`); the
+//! algorithms themselves live in those crates.
 
 use geyser_blocking::try_block_circuit_traced;
 use geyser_compose::{try_compose_blocked_circuit_reusing, CompositionConfig};
@@ -12,12 +12,9 @@ use geyser_map::{optimize_to_fixpoint, try_map_circuit_traced, MappingOptions};
 use geyser_optimize::Deadline;
 use geyser_reuse::{load_reuse_dir, reuse_config_hash, save_reuse_dir, ReuseSession};
 
-use geyser_verify::VerifyConfig;
-
 pub use geyser_topology::LatticeKind;
 
 use crate::pass::{CompileContext, Pass};
-use crate::verify::{verification_allowance, verification_stats};
 use crate::CompileError;
 
 /// Allocates the physical lattice sized for the program.
@@ -274,61 +271,6 @@ impl Pass for SeamCleanupPass {
         // the mapped circuit, so with_circuit cannot panic.
         let mapped = ctx.mapped().expect("checked above").with_circuit(cleaned);
         ctx.set_mapped(mapped);
-        Ok(())
-    }
-}
-
-/// Differential equivalence check of the pipeline's current mapped
-/// circuit against the source program (the `geyser-verify` oracle).
-///
-/// Appended via [`crate::PassManager::with_verification`]; the verdict
-/// is recorded on the [`crate::CompileReport`] and a failed check
-/// aborts the run with [`CompileError::VerificationFailed`]. Composed
-/// pipelines get a tolerance allowance derived from their composition
-/// stats (composition is approximate by design, per-block HSD ≤ ε);
-/// exact pipelines are held to the raw tolerance.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VerifyPass {
-    /// Oracle configuration (tiers, tolerances, probe seed).
-    pub config: VerifyConfig,
-}
-
-impl VerifyPass {
-    /// A verify pass with the given oracle configuration.
-    pub fn new(config: VerifyConfig) -> Self {
-        VerifyPass { config }
-    }
-}
-
-impl Pass for VerifyPass {
-    fn name(&self) -> &'static str {
-        "verify"
-    }
-
-    fn run(&self, ctx: &mut CompileContext<'_>) -> Result<(), CompileError> {
-        let mapped = ctx.mapped().ok_or(CompileError::MissingStage {
-            pass: "verify",
-            requires: "map",
-        })?;
-        // Seam cleanup has not run if a composed circuit is still
-        // pending; verify what will actually be finalized.
-        let mapped = match ctx.composed() {
-            Some(composed) => mapped.clone().with_circuit(composed.clone()),
-            None => mapped.clone(),
-        };
-        let allowance = verification_allowance(ctx.composition_stats());
-        let report = geyser_verify::verify_mapped(ctx.program(), &mapped, allowance, &self.config);
-        let stats = verification_stats(&report);
-        let verdict = (report.method.label().to_string(), report.detail.clone());
-        ctx.set_verification(stats);
-        if !report.equivalent {
-            return Err(CompileError::VerificationFailed {
-                method: verdict.0,
-                detail: verdict
-                    .1
-                    .unwrap_or_else(|| "compiled circuit diverged from source".to_string()),
-            });
-        }
         Ok(())
     }
 }

@@ -31,13 +31,6 @@ pub struct PassReport {
     pub blocks_composed: Option<u64>,
 }
 
-impl PassReport {
-    /// Signed pulse change introduced by the pass (negative = saved).
-    pub fn pulse_delta(&self) -> i64 {
-        self.pulses_after as i64 - self.pulses_before as i64
-    }
-}
-
 /// What the equivalence oracle measured for one compiled circuit.
 ///
 /// A serializable mirror of `geyser_verify::EquivalenceReport`, kept
@@ -149,15 +142,6 @@ impl CompileReport {
         self.passes.iter().map(|p| p.seconds).sum()
     }
 
-    /// Signed pulse change across the whole pipeline, from the first
-    /// pass's input to the last pass's output.
-    pub fn pulse_delta(&self) -> i64 {
-        match (self.passes.first(), self.passes.last()) {
-            (Some(first), Some(last)) => last.pulses_after as i64 - first.pulses_before as i64,
-            _ => 0,
-        }
-    }
-
     /// Renders the report as pretty-printed JSON.
     ///
     /// # Panics
@@ -214,8 +198,6 @@ mod tests {
     fn totals_aggregate_passes() {
         let r = sample();
         assert!((r.total_seconds() - 1.0).abs() < 1e-12);
-        assert_eq!(r.pulse_delta(), -40);
-        assert_eq!(r.passes[1].pulse_delta(), -20);
     }
 
     #[test]
@@ -228,9 +210,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_report_has_zero_delta() {
+    fn empty_report_is_zeroed() {
         let r = CompileReport::new("Baseline");
-        assert_eq!(r.pulse_delta(), 0);
         assert_eq!(r.total_seconds(), 0.0);
         assert!(!r.budget_exhausted);
         assert!(r.skipped_passes.is_empty());

@@ -1,31 +1,34 @@
 //! Core-side glue for the `geyser-verify` equivalence oracle.
 //!
-//! Two consumers share this module: the [`crate::passes::VerifyPass`]
-//! that runs inside a pipeline, and [`verify_compiled`], the
-//! standalone check bench binaries run on an already-finalized
-//! [`CompiledCircuit`]. The standalone form is what `--verify` uses —
-//! it sees the circuit exactly as it shipped, including anything a
+//! [`verify_compiled`] checks an already-finalized [`CompiledCircuit`]
+//! against its source program. It is what `--verify` uses — it sees
+//! the circuit exactly as it shipped, including anything a
 //! `miscompile:<i>` fault corrupted at finalize time, which no
 //! in-pipeline pass can observe.
 
 use geyser_circuit::Circuit;
-use geyser_compose::CompositionStats;
-use geyser_verify::{composition_allowance, verify_mapped, EquivalenceReport, VerifyConfig};
+use geyser_verify::{composition_allowance, verify_mapped, VerifyConfig};
 
 use crate::report::VerificationStats;
 use crate::CompiledCircuit;
 
-/// Tolerance allowance for a pipeline's composition stats: zero for
-/// exact pipelines, the triangle-inequality bound of
-/// [`composition_allowance`] once composed blocks are in play.
-pub fn verification_allowance(stats: Option<&CompositionStats>) -> f64 {
-    stats
+/// Runs the equivalence oracle on a finalized compilation, returning
+/// the verdict as report-ready stats. Never errors: an inequivalent
+/// circuit is reported with `equivalent: false`, and the caller
+/// decides whether that fails the run.
+///
+/// Exact pipelines are held to the raw tolerance; composed ones get
+/// the triangle-inequality allowance of [`composition_allowance`].
+pub fn verify_compiled(
+    program: &Circuit,
+    compiled: &CompiledCircuit,
+    cfg: &VerifyConfig,
+) -> VerificationStats {
+    let allowance = compiled
+        .composition_stats()
         .map(|s| composition_allowance(s.blocks_composed, s.max_accepted_hsd))
-        .unwrap_or(0.0)
-}
-
-/// Converts an oracle verdict into the serializable report form.
-pub fn verification_stats(report: &EquivalenceReport) -> VerificationStats {
+        .unwrap_or(0.0);
+    let report = verify_mapped(program, compiled.mapped(), allowance, cfg);
     VerificationStats {
         method: report.method.label().to_string(),
         probes: report.probes,
@@ -34,20 +37,6 @@ pub fn verification_stats(report: &EquivalenceReport) -> VerificationStats {
         equivalent: report.equivalent,
         seconds: report.seconds,
     }
-}
-
-/// Runs the equivalence oracle on a finalized compilation, returning
-/// the verdict as report-ready stats. Never errors: an inequivalent
-/// circuit is reported with `equivalent: false`, and the caller
-/// decides whether that fails the run.
-pub fn verify_compiled(
-    program: &Circuit,
-    compiled: &CompiledCircuit,
-    cfg: &VerifyConfig,
-) -> VerificationStats {
-    let allowance = verification_allowance(compiled.composition_stats());
-    let report = verify_mapped(program, compiled.mapped(), allowance, cfg);
-    verification_stats(&report)
 }
 
 #[cfg(test)]
@@ -103,57 +92,5 @@ mod tests {
         let stats = verify_compiled(&program(), &compiled, &VerifyConfig::default());
         assert!(!stats.equivalent, "oracle must catch the miscompile");
         assert!(stats.worst_fidelity < 1.0 - 1e-6, "{stats:?}");
-    }
-
-    #[test]
-    fn verify_pass_records_stats_on_the_report() {
-        let cfg = PipelineConfig::fast();
-        let compiled = PassManager::for_technique(Technique::OptiMap)
-            .with_verification(VerifyConfig::default())
-            .run(&program(), &cfg)
-            .unwrap();
-        let report = compiled.report().expect("report attached");
-        let v = report.verification.as_ref().expect("verification recorded");
-        assert!(v.equivalent);
-        assert_eq!(v.method, "exact-unitary");
-        assert!(report.passes.iter().any(|p| p.name == "verify"));
-    }
-
-    #[test]
-    fn verify_pass_fails_corrupted_pipelines_typed() {
-        // compose-corrupt is caught internally (ε re-check) and falls
-        // back, so to reach the verify pass with a bad circuit we
-        // corrupt via a custom pass list: run Baseline's passes, then
-        // append a gate-dropping "optimizer" before the verify pass.
-        struct DropLastGate;
-        impl crate::Pass for DropLastGate {
-            fn name(&self) -> &'static str {
-                "drop-last-gate"
-            }
-            fn run(&self, ctx: &mut crate::CompileContext<'_>) -> Result<(), crate::CompileError> {
-                let mapped = ctx.mapped().expect("runs after map");
-                let circuit = mapped.circuit();
-                let mut ops = circuit.ops().to_vec();
-                ops.pop();
-                let mut shorter = Circuit::new(circuit.num_qubits());
-                for op in ops {
-                    shorter.push(op);
-                }
-                let replaced = mapped.clone().with_circuit(shorter);
-                ctx.set_mapped(replaced);
-                Ok(())
-            }
-        }
-        let cfg = PipelineConfig::fast();
-        let mut pm = PassManager::for_technique(Technique::Baseline);
-        pm.push(Box::new(DropLastGate));
-        let err = pm
-            .with_verification(VerifyConfig::default())
-            .run(&program(), &cfg)
-            .unwrap_err();
-        assert!(
-            matches!(err, crate::CompileError::VerificationFailed { .. }),
-            "expected typed verification failure, got {err:?}"
-        );
     }
 }

@@ -47,9 +47,7 @@ pub use basis::to_native_basis;
 pub use error::MapError;
 pub use layout::Layout;
 pub use lower::lower_to_two_qubit;
-pub use mapped::{
-    map_circuit, try_map_circuit, try_map_circuit_traced, MappedCircuit, MappingOptions,
-};
+pub use mapped::{map_circuit, try_map_circuit_traced, MappedCircuit, MappingOptions};
 pub use passes::{
     cancel_cz_pairs, fuse_single_qubit_runs, optimize_to_fixpoint, remove_identities,
 };

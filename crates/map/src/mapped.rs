@@ -250,39 +250,33 @@ pub fn map_circuit(
     lattice: &Lattice,
     options: &MappingOptions,
 ) -> MappedCircuit {
-    try_map_circuit(logical, lattice, options).unwrap_or_else(|e| panic!("{e}"))
+    try_map_circuit_traced(logical, lattice, options, &Telemetry::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible form of [`map_circuit`]: returns
 /// [`MapError::LatticeTooSmall`] instead of panicking when the lattice
 /// cannot host the program.
 ///
+/// Opens a span per mapping stage (category `map`) and counts routed
+/// SWAP insertions under `map.swaps_inserted`. Telemetry is
+/// observational only — instrumentation never feeds back into mapping
+/// decisions, so a disabled handle gives the same mapping.
+///
 /// # Example
 ///
 /// ```
 /// use geyser_circuit::Circuit;
-/// use geyser_map::{try_map_circuit, MapError, MappingOptions};
+/// use geyser_map::{try_map_circuit_traced, MapError, MappingOptions};
+/// use geyser_telemetry::Telemetry;
 /// use geyser_topology::Lattice;
 ///
 /// let mut c = Circuit::new(6);
 /// c.h(0).cx(0, 5);
 /// let tiny = Lattice::triangular(1, 2); // 2 nodes for 6 qubits
-/// let err = try_map_circuit(&c, &tiny, &MappingOptions::baseline());
+/// let err = try_map_circuit_traced(&c, &tiny, &MappingOptions::baseline(), &Telemetry::disabled());
 /// assert!(matches!(err, Err(MapError::LatticeTooSmall { .. })));
 /// ```
-pub fn try_map_circuit(
-    logical: &Circuit,
-    lattice: &Lattice,
-    options: &MappingOptions,
-) -> Result<MappedCircuit, MapError> {
-    try_map_circuit_traced(logical, lattice, options, &Telemetry::disabled())
-}
-
-/// [`try_map_circuit`] with telemetry: opens a span per mapping stage
-/// (category `map`) and counts routed SWAP insertions under
-/// `map.swaps_inserted`. A disabled handle makes this identical to the
-/// untraced form — instrumentation never feeds back into mapping
-/// decisions.
 pub fn try_map_circuit_traced(
     logical: &Circuit,
     lattice: &Lattice,

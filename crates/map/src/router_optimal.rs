@@ -23,7 +23,7 @@ const MAX_EXPANSIONS: usize = 2_000_000;
 /// program order) on `lattice` from `initial_layout`.
 ///
 /// Returns `None` when the instance exceeds the search limits
-/// (more than [`MAX_NODES`] lattice nodes, or the frontier budget).
+/// (more than 9 lattice nodes, or the frontier budget).
 ///
 /// The gate *order* is fixed (no commutation reordering), matching
 /// the production router's model, so the two are directly comparable.

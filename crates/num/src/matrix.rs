@@ -268,21 +268,6 @@ impl CMatrix {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|z| z.is_finite())
     }
-
-    /// Maximum entry-wise absolute difference to `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn max_abs_diff(&self, other: &CMatrix) -> f64 {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (*a - *b).norm())
-            .fold(0.0, f64::max)
-    }
 }
 
 impl Index<(usize, usize)> for CMatrix {
@@ -484,14 +469,6 @@ mod tests {
         let s = &a + &b;
         let back = &s - &b;
         assert!(back.approx_eq(&a, 1e-15));
-    }
-
-    #[test]
-    fn max_abs_diff_detects_perturbation() {
-        let a = CMatrix::identity(2);
-        let mut b = a.clone();
-        b[(0, 1)] = c64(0.25, 0.0);
-        assert!((a.max_abs_diff(&b) - 0.25).abs() < 1e-15);
     }
 
     #[test]

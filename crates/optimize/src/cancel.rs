@@ -62,12 +62,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.as_ref().is_some_and(|f| f.load(Ordering::SeqCst))
     }
-
-    /// Whether this token can ever fire (i.e. it is not the `none`
-    /// token).
-    pub fn is_cancellable(&self) -> bool {
-        self.flag.is_some()
-    }
 }
 
 /// Tokens compare equal when they share the same flag (or are both
@@ -91,7 +85,6 @@ mod tests {
         let t = CancelToken::none();
         t.cancel();
         assert!(!t.is_cancelled());
-        assert!(!t.is_cancellable());
     }
 
     #[test]
@@ -101,7 +94,6 @@ mod tests {
         assert!(!c.is_cancelled());
         t.cancel();
         assert!(c.is_cancelled());
-        assert!(t.is_cancellable());
     }
 
     #[test]

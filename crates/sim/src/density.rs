@@ -63,12 +63,6 @@ impl DensityMatrix {
         &self.rho
     }
 
-    /// Replaces the underlying matrix (used by channel application).
-    pub(crate) fn set_matrix(&mut self, rho: CMatrix) {
-        debug_assert_eq!(rho.rows(), 1 << self.num_qubits);
-        self.rho = rho;
-    }
-
     /// Applies a unitary operation: `ρ → U ρ U†`.
     pub fn apply_operation(&mut self, op: &Operation) {
         let u = embed_gate(&op.gate().matrix(), op.qubits(), self.num_qubits);

@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channels;
 mod density;
 mod error;
 mod loss;
@@ -44,16 +43,14 @@ mod statevector;
 mod tvd;
 mod unitary;
 
-pub use channels::KrausChannel;
 pub use density::{exact_noisy_distribution, DensityMatrix};
 pub use error::SimError;
 pub use loss::{sample_with_atom_loss, AtomLossModel};
 pub use noise::{NoiseGranularity, NoiseModel};
 pub use observable::{Observable, Pauli, PauliString};
 pub use sampler::{
-    ideal_distribution, sample_noisy_distribution, sampled_counts, try_ideal_distribution,
-    try_sample_noisy_distribution, try_sample_noisy_distribution_traced,
-    try_sample_noisy_distribution_with_faults, SimFaults, MAX_TRAJECTORY_RETRIES,
+    ideal_distribution, sample_noisy_distribution, try_ideal_distribution,
+    try_sample_noisy_distribution_traced, SimFaults, MAX_TRAJECTORY_RETRIES,
 };
 pub use statevector::{StateVector, NORM_DRIFT_TOL};
 pub use tvd::total_variation_distance;

@@ -158,16 +158,6 @@ impl Observable {
         }
         Observable::new(terms)
     }
-
-    /// MaxCut cost observable `Σ_(u,v)∈E ½(1 − Z_u Z_v)` whose
-    /// expectation is the expected cut size — QAOA's figure of merit.
-    pub fn maxcut(edges: &[(usize, usize)]) -> Self {
-        let mut terms = vec![PauliString::identity(0.5 * edges.len() as f64)];
-        for &(u, v) in edges {
-            terms.push(PauliString::new(-0.5, vec![(u, Pauli::Z), (v, Pauli::Z)]));
-        }
-        Observable::new(terms)
-    }
 }
 
 #[cfg(test)]
@@ -240,16 +230,6 @@ mod tests {
         c.x(1).x(3);
         let e = ham.expectation(&state_of(&c));
         assert!((e + 3.0).abs() < 1e-12, "E = {e}");
-    }
-
-    #[test]
-    fn maxcut_counts_cut_edges() {
-        // Triangle graph, state |010⟩ cuts edges (0,1) and (1,2).
-        let obs = Observable::maxcut(&[(0, 1), (1, 2), (0, 2)]);
-        let mut c = Circuit::new(3);
-        c.x(1);
-        let cut = obs.expectation(&state_of(&c));
-        assert!((cut - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use geyser_circuit::Circuit;
 use geyser_num::{CMatrix, Complex};
 use geyser_telemetry::Telemetry;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::{NoiseModel, SimError, StateVector, NORM_DRIFT_TOL};
 
@@ -101,33 +101,23 @@ pub fn try_ideal_distribution(circuit: &Circuit) -> Result<Vec<f64>, SimError> {
 /// # Panics
 ///
 /// Panics if `trajectories == 0` or simulation is numerically
-/// unhealthy (see [`try_sample_noisy_distribution`] for the fallible
-/// form).
+/// unhealthy (see [`try_sample_noisy_distribution_traced`] for the
+/// fallible form).
 pub fn sample_noisy_distribution(
     circuit: &Circuit,
     noise: &NoiseModel,
     trajectories: usize,
     seed: u64,
 ) -> Vec<f64> {
-    try_sample_noisy_distribution(circuit, noise, trajectories, seed)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`sample_noisy_distribution`] with trajectory
-/// health checks and rejection-and-resample (no fault hooks).
-pub fn try_sample_noisy_distribution(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> Result<Vec<f64>, SimError> {
-    try_sample_noisy_distribution_with_faults(
+    try_sample_noisy_distribution_traced(
         circuit,
         noise,
         trajectories,
         seed,
         &SimFaults::none(),
+        &Telemetry::disabled(),
     )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one noise trajectory from `|0…0⟩`, consuming `rng` for the
@@ -155,8 +145,9 @@ fn run_trajectory(
     sv
 }
 
-/// [`try_sample_noisy_distribution`] with test/bench-only fault
-/// injection.
+/// Fallible form of [`sample_noisy_distribution`] with trajectory
+/// health checks, rejection-and-resample and test/bench-only fault
+/// injection (`faults`).
 ///
 /// Each trajectory is health-checked (finite amplitudes, norm within
 /// [`NORM_DRIFT_TOL`]); an unhealthy one is resampled from a seed
@@ -165,30 +156,10 @@ fn run_trajectory(
 /// RNG stream exactly as the historical sampler did, so fault-free
 /// runs are bit-identical with or without the guard machinery.
 ///
-/// # Panics
-///
-/// Panics if `trajectories == 0`.
-pub fn try_sample_noisy_distribution_with_faults(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-    faults: &SimFaults,
-) -> Result<Vec<f64>, SimError> {
-    try_sample_noisy_distribution_traced(
-        circuit,
-        noise,
-        trajectories,
-        seed,
-        faults,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`try_sample_noisy_distribution_with_faults`] recording a
-/// `sim.sample` span plus `sim.trajectories` / `sim.resamples`
-/// counters on `telemetry`. Results are bit-identical with telemetry
-/// enabled or disabled — the handle is observational only.
+/// Records a `sim.sample` span plus `sim.trajectories` /
+/// `sim.resamples` counters on `telemetry`. Results are bit-identical
+/// with telemetry enabled or disabled — the handle is observational
+/// only.
 ///
 /// # Panics
 ///
@@ -245,33 +216,6 @@ pub fn try_sample_noisy_distribution_traced(
         *a *= inv;
     }
     Ok(accum)
-}
-
-/// Draws `shots` basis-state samples from a probability distribution,
-/// returning per-state counts. Used to emulate finite-shot readout.
-///
-/// # Panics
-///
-/// Panics if the distribution is empty or sums to ≤ 0.
-pub fn sampled_counts(distribution: &[f64], shots: usize, seed: u64) -> Vec<u64> {
-    assert!(!distribution.is_empty(), "empty distribution");
-    let total: f64 = distribution.iter().sum();
-    assert!(total > 0.0, "distribution must have positive mass");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0u64; distribution.len()];
-    for _ in 0..shots {
-        let mut r = rng.gen::<f64>() * total;
-        let mut idx = distribution.len() - 1;
-        for (i, &p) in distribution.iter().enumerate() {
-            if r < p {
-                idx = i;
-                break;
-            }
-            r -= p;
-        }
-        counts[idx] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]
@@ -349,17 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_counts_sum_to_shots() {
-        let p = ideal_distribution(&bell());
-        let counts = sampled_counts(&p, 1000, 5);
-        assert_eq!(counts.iter().sum::<u64>(), 1000);
-        // Only |00> and |11> should ever be sampled.
-        assert_eq!(counts[1], 0);
-        assert_eq!(counts[2], 0);
-        assert!(counts[0] > 350 && counts[3] > 350);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one trajectory")]
     fn zero_trajectories_panics() {
         let _ = sample_noisy_distribution(&bell(), &NoiseModel::symmetric(0.1), 0, 0);
@@ -373,8 +306,9 @@ mod tests {
             nan_trajectories: vec![3, 7],
             ..SimFaults::none()
         };
-        let p = try_sample_noisy_distribution_with_faults(&c, &nm, 20, 7, &faults)
-            .expect("transient faults must be resampled away");
+        let p =
+            try_sample_noisy_distribution_traced(&c, &nm, 20, 7, &faults, &Telemetry::disabled())
+                .expect("transient faults must be resampled away");
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(p.iter().all(|x| x.is_finite()));
         // The resampled estimate stays statistically sane.
@@ -389,8 +323,15 @@ mod tests {
         let c = bell();
         let nm = NoiseModel::symmetric(0.02);
         let a = sample_noisy_distribution(&c, &nm, 30, 9);
-        let b = try_sample_noisy_distribution_with_faults(&c, &nm, 30, 9, &SimFaults::none())
-            .expect("healthy");
+        let b = try_sample_noisy_distribution_traced(
+            &c,
+            &nm,
+            30,
+            9,
+            &SimFaults::none(),
+            &Telemetry::disabled(),
+        )
+        .expect("healthy");
         assert_eq!(a, b);
     }
 
@@ -402,8 +343,9 @@ mod tests {
             persistent_nan_trajectories: vec![2],
             ..SimFaults::none()
         };
-        let err = try_sample_noisy_distribution_with_faults(&c, &nm, 10, 1, &faults)
-            .expect_err("persistent corruption must not be averaged in");
+        let err =
+            try_sample_noisy_distribution_traced(&c, &nm, 10, 1, &faults, &Telemetry::disabled())
+                .expect_err("persistent corruption must not be averaged in");
         assert_eq!(
             err,
             SimError::TrajectoryRejected {

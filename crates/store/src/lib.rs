@@ -449,7 +449,8 @@ fn framed<T>(
 }
 
 /// Reads and decodes a record file **without** quarantining (see
-/// [`read_checked`]).
+/// [`read_record_file_quarantining`] for the form that moves a corrupt
+/// file aside).
 pub fn read_record_file(path: &Path) -> Result<RecordPayload, StoreReadError> {
     read_checked(path, framed(Ok))
 }

@@ -108,11 +108,6 @@ impl SpanGuard {
         }
     }
 
-    /// Whether this guard is actually recording.
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Attaches a key=value attribute. The value is formatted only
     /// when the span is live, so this is free on a disabled handle.
     pub fn attr(&mut self, key: &'static str, value: impl std::fmt::Display) {

@@ -316,31 +316,6 @@ impl Lattice {
         tris
     }
 
-    /// All mutually-adjacent node quadruples (sorted ascending) — the
-    /// candidate CCCZ cells of the four-qubit blocking ablation
-    /// (paper Fig. 7b). Triangular lattices have none; the diagonal
-    /// square lattice has one per unit cell.
-    pub fn four_cliques(&self) -> Vec<[usize; 4]> {
-        let tris = self.triangles();
-        let mut out = Vec::new();
-        for t in &tris {
-            // Extend each triangle by a common neighbour above its max
-            // index (dedup by construction).
-            let candidates: Vec<usize> = self
-                .neighbors(t[0])
-                .iter()
-                .copied()
-                .filter(|&v| v > t[2])
-                .collect();
-            for v in candidates {
-                if self.are_adjacent(t[1], v) && self.are_adjacent(t[2], v) {
-                    out.push([t[0], t[1], t[2], v]);
-                }
-            }
-        }
-        out
-    }
-
     /// All adjacent node pairs (each sorted ascending).
     pub fn edges(&self) -> Vec<[usize; 2]> {
         let mut out = Vec::new();
@@ -499,24 +474,6 @@ mod tests {
         for t in &tris {
             assert!(t[0] < t[1] && t[1] < t[2], "unsorted triangle {t:?}");
             assert!(seen.insert(*t), "duplicate triangle {t:?}");
-        }
-    }
-
-    #[test]
-    fn four_cliques_only_on_diagonal_square() {
-        assert!(Lattice::triangular(4, 4).four_cliques().is_empty());
-        assert!(Lattice::square(4, 4).four_cliques().is_empty());
-        let diag = Lattice::square_diagonal(3, 3);
-        let cells = diag.four_cliques();
-        // One K4 per unit cell: (rows-1)·(cols-1) = 4.
-        assert_eq!(cells.len(), 4);
-        for cell in &cells {
-            for i in 0..4 {
-                for j in (i + 1)..4 {
-                    assert!(diag.are_adjacent(cell[i], cell[j]), "{cell:?}");
-                }
-            }
-            assert!(cell.windows(2).all(|w| w[0] < w[1]), "unsorted {cell:?}");
         }
     }
 

@@ -10,7 +10,7 @@
 //!   block-candidate ε check the composer uses.
 //! * [`fuzz`] — a seeded structured circuit fuzzer: random circuits
 //!   over the whole gate enum plus mutations of the paper benchmarks.
-//! * [`minimize`] — a deterministic delta-debugging minimizer that
+//! * [`minimize`](mod@minimize) — a deterministic delta-debugging minimizer that
 //!   shrinks failing circuits to 1-minimal reproducers.
 //! * [`quarantine`] — the on-disk corpus of minimized reproducers
 //!   that `replay` re-runs as regression tests.

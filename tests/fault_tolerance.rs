@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use geyser::passes::{AllocateLatticePass, BlockPass, ComposePass, MapPass, SeamCleanupPass};
 use geyser::{
-    evaluate_tvd, try_evaluate_tvd_with_faults, CancelToken, CompileContext, CompileError,
-    FaultInjector, Pass, PassManager, PipelineConfig, Technique,
+    evaluate_tvd, try_evaluate_tvd_traced, CancelToken, CompileContext, CompileError,
+    FaultInjector, Pass, PassManager, PipelineConfig, Technique, Telemetry,
 };
 use geyser_sim::{NoiseModel, SimError, SimFaults, MAX_TRAJECTORY_RETRIES};
 use geyser_workloads::{ghz, qaoa};
@@ -121,16 +121,32 @@ fn transient_sim_fault_recovers_persistent_fault_errors() {
         nan_trajectories: vec![0, 5],
         ..SimFaults::none()
     };
-    let report = try_evaluate_tvd_with_faults(&compiled, &program, &noise, 30, 1, &transient)
-        .expect("transient NaN trajectories must be resampled");
+    let report = try_evaluate_tvd_traced(
+        &compiled,
+        &program,
+        &noise,
+        30,
+        1,
+        &transient,
+        &Telemetry::disabled(),
+    )
+    .expect("transient NaN trajectories must be resampled");
     assert!(report.tvd_to_ideal.is_finite());
 
     let persistent = SimFaults {
         persistent_nan_trajectories: vec![4],
         ..SimFaults::none()
     };
-    let err = try_evaluate_tvd_with_faults(&compiled, &program, &noise, 30, 1, &persistent)
-        .expect_err("persistent corruption must surface");
+    let err = try_evaluate_tvd_traced(
+        &compiled,
+        &program,
+        &noise,
+        30,
+        1,
+        &persistent,
+        &Telemetry::disabled(),
+    )
+    .expect_err("persistent corruption must surface");
     assert_eq!(
         err,
         CompileError::Sim(SimError::TrajectoryRejected {
