@@ -21,12 +21,27 @@
 //!   entries record the flag so `replay` takes the same path
 //! * `--quarantine DIR` — where reproducers are filed (default
 //!   `quarantine/`)
+//! * `--json PATH` — write one row per case × technique: `compiled`,
+//!   `pulses`, `depth`, `verified` and `worst_fidelity`, nothing
+//!   wall-clock, so two runs with the same seed are byte-identical
+//!
+//! A fault may cost a typed error, never correctness: when `--inject`
+//! panics a pass, that pass's `PassPanicked` error is the fault's
+//! promised outcome, not a failure. Every other compile error, and
+//! every compiled circuit the oracle rejects, is a failure. So a run
+//! under a fault the pipeline promises to absorb (`pass-panic:block`,
+//! `compose-timeout`) must exit 0, as a clean run must.
 //!
 //! Exit status: 0 = no failures, 1 = failures found (and quarantined),
 //! 2 = usage error.
 
-use geyser::{FaultInjector, PassManager, PipelineConfig, Technique, Telemetry, VerificationStats};
-use geyser_bench::{exit_codes, Cli};
+use std::collections::BTreeMap;
+
+use geyser::{
+    CompileError, CompiledCircuit, FaultInjector, PassManager, PipelineConfig, Technique,
+    Telemetry, VerificationStats,
+};
+use geyser_bench::{exit_codes, maybe_write_json, metrics, Cli, Row};
 use geyser_circuit::Circuit;
 use geyser_verify::{
     generate_cases, minimize, quarantine::write_entry, FuzzCase, FuzzOptions, QuarantineEntry,
@@ -52,8 +67,31 @@ impl Failure {
     }
 }
 
-/// Compile + verify one circuit under one technique. Telemetry is
-/// observational only — a disabled handle gives identical outcomes.
+/// The `--json` metrics of one run; a run without a compiled circuit
+/// reads `compiled` 0 and `worst_fidelity` -1.
+fn row_metrics(outcome: Option<(&CompiledCircuit, &VerificationStats)>) -> BTreeMap<String, f64> {
+    let (compiled, pulses, depth, verified, worst) = match outcome {
+        Some((c, v)) => (
+            1.0,
+            c.total_pulses() as f64,
+            c.depth_pulses() as f64,
+            f64::from(u8::from(v.equivalent)),
+            v.worst_fidelity,
+        ),
+        None => (0.0, 0.0, 0.0, 0.0, -1.0),
+    };
+    metrics(&[
+        ("compiled", compiled),
+        ("pulses", pulses),
+        ("depth", depth),
+        ("verified", verified),
+        ("worst_fidelity", worst),
+    ])
+}
+
+/// Compile + verify one circuit under one technique, returning the
+/// run's `--json` metrics and its verdict. Telemetry is observational
+/// only — a disabled handle gives identical outcomes.
 fn check(
     circuit: &Circuit,
     technique: Technique,
@@ -61,20 +99,26 @@ fn check(
     faults: &FaultInjector,
     vcfg: &VerifyConfig,
     telemetry: &Telemetry,
-) -> Result<(), Failure> {
+) -> (BTreeMap<String, f64>, Result<(), Failure>) {
     let compiled = match PassManager::for_technique(technique)
         .with_faults(faults.clone())
         .with_telemetry(telemetry.clone())
         .run(circuit, cfg)
     {
         Ok(c) => c,
-        Err(e) => return Err(Failure::CompileError(e.to_string())),
+        // The injected panic surfacing as its typed error is what the
+        // fault promises.
+        Err(CompileError::PassPanicked { pass, .. }) if faults.panic_passes.contains(&pass) => {
+            return (row_metrics(None), Ok(()))
+        }
+        Err(e) => return (row_metrics(None), Err(Failure::CompileError(e.to_string()))),
     };
     let stats = geyser::verify_compiled(circuit, &compiled, vcfg);
+    let row = row_metrics(Some((&compiled, &stats)));
     if stats.equivalent {
-        Ok(())
+        (row, Ok(()))
     } else {
-        Err(Failure::Miscompile(stats))
+        (row, Err(Failure::Miscompile(stats)))
     }
 }
 
@@ -109,7 +153,7 @@ fn main() {
     };
     let qdir = cli.quarantine_dir();
 
-    let mut checked = 0usize;
+    let mut rows = Vec::new();
     let mut failures = 0usize;
     for case in generate_cases(&opts) {
         let case_cfg = match &case.hardware {
@@ -117,17 +161,21 @@ fn main() {
             None => cfg.clone(),
         };
         for technique in Technique::ALL {
-            checked += 1;
-            let failure = match check(
+            let (metrics, verdict) = check(
                 &case.circuit,
                 technique,
                 &case_cfg,
                 faults,
                 &vcfg,
                 &Telemetry::disabled(),
-            ) {
-                Ok(()) => continue,
-                Err(f) => f,
+            );
+            rows.push(Row {
+                workload: case.id.clone(),
+                technique: technique.label().to_string(),
+                metrics,
+            });
+            let Err(failure) = verdict else {
+                continue;
             };
             failures += 1;
             quarantine_failure(
@@ -135,9 +183,12 @@ fn main() {
             );
         }
     }
+    maybe_write_json(&cli, &rows);
     println!(
-        "fuzz: seed {} — {checked} compilations over {} case(s), {failures} failure(s)",
-        cli.seed, opts.cases
+        "fuzz: seed {} — {} compilations over {} case(s), {failures} failure(s)",
+        cli.seed,
+        rows.len(),
+        opts.cases
     );
     if failures > 0 {
         println!("reproducers quarantined under {}/", qdir.display());
@@ -160,7 +211,7 @@ fn quarantine_failure(
     let kind = failure.kind();
     let (minimized, shrink) = minimize(
         &case.circuit,
-        |candidate| matches!(&check(candidate, technique, cfg, faults, vcfg, &Telemetry::disabled()), Err(f) if f.kind() == kind),
+        |candidate| matches!(&check(candidate, technique, cfg, faults, vcfg, &Telemetry::disabled()).1, Err(f) if f.kind() == kind),
     );
     // Re-verify the minimized reproducer so the entry's oracle fields
     // describe exactly what `replay` will observe — with telemetry on
@@ -169,6 +220,7 @@ fn quarantine_failure(
     let cost_telemetry = Telemetry::enabled();
     let started = std::time::Instant::now();
     let final_failure = check(&minimized, technique, cfg, faults, vcfg, &cost_telemetry)
+        .1
         .expect_err("minimizer only returns circuits that still fail");
     let compile_ms = started.elapsed().as_millis() as u64;
     let anneal_evaluations = cost_telemetry.counter_value("compose.anneal_evaluations");

@@ -60,13 +60,12 @@
 //!   paper's; the spec's digest becomes part of the results-cache
 //!   key, and its noise model drives noisy simulation
 //!   unless `--noise` overrides it
-//! * `--specs a,b,c` — hardware-scenario grid for the `sweep` binary:
-//!   each element is a builtin preset name (`paper`,
-//!   `square-diagonal`, `near-term`) or a path to a spec JSON file
-//! * `--campaigns N` — campaign count for the `chaos` binary
-//!   (default 8)
 //!
-//! Exit codes are unified in [`exit_codes`].
+//! A malformed invocation (unknown flag, bad number, flag missing its
+//! value, unknown technique, bad `--inject` spec, unloadable
+//! `--hardware` file) prints one `error: <flag>: …` line and exits
+//! with [`exit_codes::USAGE`]. Exit codes are unified in
+//! [`exit_codes`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,6 +74,8 @@ mod cache;
 pub mod exit_codes;
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 use cache::compile_cached;
 pub use cache::{
@@ -82,8 +83,8 @@ pub use cache::{
     CACHE_VERSION_MISS_COUNTER,
 };
 use geyser::{
-    CompileReport, CompiledCircuit, FaultInjector, FaultSpecError, HardwareSpec, MetricsSnapshot,
-    PassManager, PipelineConfig, Technique, Telemetry, VerificationStats,
+    CompileReport, CompiledCircuit, FaultInjector, HardwareSpec, MetricsSnapshot, PassManager,
+    PipelineConfig, Technique, Telemetry, VerificationStats,
 };
 use geyser_circuit::Circuit;
 use geyser_sim::NoiseModel;
@@ -146,11 +147,6 @@ pub struct Cli {
     /// Whether `--noise` was given explicitly, in which case it beats
     /// the hardware spec's noise model in [`Cli::noise_model`].
     pub noise_explicit: bool,
-    /// Hardware-scenario grid for the `sweep` binary (`--specs`):
-    /// builtin preset names or spec-JSON paths.
-    pub specs: Vec<String>,
-    /// Campaign count for the `chaos` binary (`--campaigns`).
-    pub campaigns: usize,
     /// The run's telemetry handle: disabled by default, enabled by
     /// [`Cli::parse`] when `--trace` or `--report` is given. Cloning
     /// shares the same buffers, so spans recorded anywhere in the
@@ -184,23 +180,21 @@ impl Default for Cli {
             techniques: None,
             hardware: None,
             noise_explicit: false,
-            specs: Vec::new(),
-            campaigns: 8,
             telemetry: Telemetry::disabled(),
         }
     }
 }
 
 impl Cli {
-    /// Parses `std::env::args`, panicking with a usage message on
-    /// malformed input.
+    /// Parses `std::env::args`. Malformed input prints one
+    /// `error: <flag>: …` line and exits with [`exit_codes::USAGE`].
     pub fn parse() -> Self {
         let mut cli = Cli::default();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             let mut value = |name: &str| {
                 args.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
+                    .unwrap_or_else(|| exit_usage(name, "requires a value"))
             };
             match arg.as_str() {
                 "--fast" => cli.fast = true,
@@ -212,24 +206,30 @@ impl Cli {
                         .collect();
                 }
                 "--trajectories" => {
-                    cli.trajectories = value("--trajectories").parse().expect("integer")
+                    cli.trajectories = parsed("--trajectories", value("--trajectories"))
                 }
                 "--noise" => {
-                    cli.noise = value("--noise").parse().expect("float");
+                    cli.noise = parsed("--noise", value("--noise"));
                     cli.noise_explicit = true;
                 }
-                "--seed" => cli.seed = value("--seed").parse().expect("integer"),
-                "--steps" => cli.steps = Some(value("--steps").parse().expect("integer")),
+                "--seed" => cli.seed = parsed("--seed", value("--seed")),
+                "--steps" => cli.steps = Some(parsed("--steps", value("--steps"))),
                 "--json" => cli.json = Some(value("--json")),
                 "--report" => cli.report = Some(value("--report")),
-                "--budget-ms" => {
-                    cli.budget_ms = Some(value("--budget-ms").parse().expect("integer"))
-                }
+                "--budget-ms" => cli.budget_ms = Some(parsed("--budget-ms", value("--budget-ms"))),
                 "--inject" => {
                     // Parse at the CLI boundary so a typo fails with a
                     // pointed message before any compilation.
-                    cli.inject = FaultInjector::parse(&value("--inject"))
-                        .unwrap_or_else(|e| exit_bad_inject(&e));
+                    cli.inject = FaultInjector::parse(&value("--inject")).unwrap_or_else(|e| {
+                        exit_usage(
+                            "--inject",
+                            format!(
+                                "{e}\nusage: --inject SPEC where SPEC is comma-separated \
+                                 fault tokens, e.g.\n  pass-panic:compose, hang-pass:block, \
+                                 compose-corrupt:0,\n  compose-timeout, sim-nan:3, miscompile:0"
+                            ),
+                        )
+                    });
                 }
                 "--verify" => cli.verify = true,
                 "--reuse" => cli.reuse = true,
@@ -241,7 +241,7 @@ impl Cli {
                     cli.reuse_warm_start = true;
                     cli.reuse = true;
                 }
-                "--cases" => cli.cases = value("--cases").parse().expect("integer"),
+                "--cases" => cli.cases = parsed("--cases", value("--cases")),
                 "--structured" => cli.structured = true,
                 "--quarantine" => cli.quarantine = Some(value("--quarantine")),
                 "--trace" => cli.trace = Some(value("--trace")),
@@ -251,10 +251,13 @@ impl Cli {
                             .split(',')
                             .map(|s| {
                                 Technique::from_label(s.trim()).unwrap_or_else(|| {
-                                    panic!(
-                                        "unknown technique '{}'; expected one of \
-                                         Baseline, OptiMap, Geyser, SC",
-                                        s.trim()
+                                    exit_usage(
+                                        "--techniques",
+                                        format!(
+                                            "unknown technique '{}'; expected one of \
+                                             Baseline, OptiMap, Geyser, SC",
+                                            s.trim()
+                                        ),
                                     )
                                 })
                             })
@@ -263,26 +266,12 @@ impl Cli {
                 }
                 "--hardware" => {
                     let path = value("--hardware");
-                    match HardwareSpec::load(std::path::Path::new(&path)) {
-                        Ok(spec) => cli.hardware = Some(spec),
-                        Err(e) => {
-                            eprintln!("error: --hardware: {e}");
-                            std::process::exit(exit_codes::USAGE);
-                        }
-                    }
+                    cli.hardware = Some(
+                        HardwareSpec::load(std::path::Path::new(&path))
+                            .unwrap_or_else(|e| exit_usage("--hardware", e)),
+                    );
                 }
-                "--campaigns" => cli.campaigns = value("--campaigns").parse().expect("integer"),
-                "--specs" => {
-                    cli.specs = value("--specs")
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
-                }
-                other => {
-                    eprintln!("error: unknown flag '{other}'; see crate docs for usage");
-                    std::process::exit(exit_codes::USAGE);
-                }
+                other => exit_usage(other, "unknown flag; see crate docs for usage"),
             }
         }
         if cli.trace.is_some() || cli.report.is_some() {
@@ -399,45 +388,22 @@ impl Cli {
     pub fn quarantine_dir(&self) -> std::path::PathBuf {
         std::path::PathBuf::from(self.quarantine.as_deref().unwrap_or("quarantine"))
     }
-
-    /// Resolves the `--specs` grid for the `sweep` binary. Each
-    /// element names a builtin preset (`paper`, `square-diagonal`,
-    /// `near-term`) or is a path to a spec JSON file; without the
-    /// flag the grid defaults to `paper` + `near-term`. A bad name or
-    /// file exits with usage status 2.
-    pub fn hardware_grid(&self) -> Vec<HardwareSpec> {
-        if self.specs.is_empty() {
-            return vec![HardwareSpec::paper(), HardwareSpec::near_term()];
-        }
-        self.specs
-            .iter()
-            .map(|token| match token.as_str() {
-                "paper" => HardwareSpec::paper(),
-                "square-diagonal" => HardwareSpec::square_diagonal(),
-                "near-term" => HardwareSpec::near_term(),
-                path => HardwareSpec::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-                    eprintln!(
-                        "error: --specs: '{path}' is neither a builtin preset \
-                         (paper, square-diagonal, near-term) nor a loadable \
-                         spec file: {e}"
-                    );
-                    std::process::exit(exit_codes::USAGE);
-                }),
-            })
-            .collect()
-    }
 }
 
-/// Prints a pointed `--inject` diagnostic and exits with status 2,
-/// the conventional usage-error code.
-fn exit_bad_inject(err: &FaultSpecError) -> ! {
-    eprintln!("error: --inject: {err}");
-    eprintln!(
-        "usage: --inject SPEC where SPEC is comma-separated fault tokens, e.g.\n  \
-         pass-panic:compose, hang-pass:block, compose-corrupt:0,\n  \
-         compose-timeout, sim-nan:3, miscompile:0"
-    );
+/// Prints one `error: <flag>: <detail>` line and exits with
+/// [`exit_codes::USAGE`]: every malformed invocation ends here.
+fn exit_usage(flag: &str, detail: impl Display) -> ! {
+    eprintln!("error: {flag}: {detail}");
     std::process::exit(exit_codes::USAGE);
+}
+
+/// Parses a flag's value, or exits through [`exit_usage`].
+fn parsed<T: FromStr>(flag: &str, raw: String) -> T
+where
+    T::Err: Display,
+{
+    raw.parse()
+        .unwrap_or_else(|e| exit_usage(flag, format!("'{raw}': {e}")))
 }
 
 /// One (workload × technique) measurement row.
@@ -456,8 +422,8 @@ pub struct Row {
 /// compilation once.
 ///
 /// The cache is bypassed when any flag makes the run non-reusable:
-/// enabled telemetry (`--report`, `--trace`, and `sweep`: a cache hit
-/// would carry no per-pass instrumentation and emit no spans),
+/// enabled telemetry (`--report`, `--trace`: a cache hit would carry
+/// no per-pass instrumentation and emit no spans),
 /// `--budget-ms` (a degraded result depends on machine speed),
 /// `--reuse` (a hit would neither consult nor grow the reuse index)
 /// and `--inject` (deliberately faulty output must never be cached).
@@ -914,20 +880,6 @@ mod tests {
             Cli::default().noise_model(),
             NoiseModel::symmetric(Cli::default().noise)
         );
-    }
-
-    #[test]
-    fn hardware_grid_defaults_and_resolves_builtins() {
-        let grid = Cli::default().hardware_grid();
-        assert_eq!(grid.len(), 2);
-        assert!(grid[0].is_paper());
-        let cli = Cli {
-            specs: vec!["square-diagonal".into(), "paper".into()],
-            ..Cli::default()
-        };
-        let grid = cli.hardware_grid();
-        assert_eq!(grid[0].digest(), HardwareSpec::square_diagonal().digest());
-        assert!(grid[1].is_paper());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The unified exit-code contract, exercised through the real
 //! binaries: usage errors are 2 everywhere, clean runs are 0, and the
-//! `repair` scanner degrades exactly as documented. (The expensive
-//! chaos paths — invariant violations exiting 5, kill/resume exiting
-//! 3 — are covered by the CI chaos step; these tests stay fast.)
+//! `repair` scanner degrades exactly as documented. (The planted
+//! failures — `fuzz --inject miscompile:0` exiting 1, a `--verify`
+//! miscompile exiting 4 — run in CI; these tests stay fast.)
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,8 +17,8 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn chaos_rejects_unknown_flags_with_usage() {
-    let status = Command::new(env!("CARGO_BIN_EXE_chaos"))
+fn fuzz_rejects_unknown_flags_with_usage() {
+    let status = Command::new(env!("CARGO_BIN_EXE_fuzz"))
         .arg("--definitely-not-a-flag")
         .output()
         .unwrap();
@@ -26,8 +26,8 @@ fn chaos_rejects_unknown_flags_with_usage() {
 }
 
 #[test]
-fn chaos_rejects_malformed_inject_specs_with_usage() {
-    let status = Command::new(env!("CARGO_BIN_EXE_chaos"))
+fn fuzz_rejects_malformed_inject_specs_with_usage() {
+    let status = Command::new(env!("CARGO_BIN_EXE_fuzz"))
         .args(["--inject", "no-such-fault:whatever"])
         .output()
         .unwrap();
@@ -35,15 +35,39 @@ fn chaos_rejects_malformed_inject_specs_with_usage() {
 }
 
 #[test]
-fn chaos_with_zero_campaigns_exits_clean() {
-    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
-        .args(["--fast", "--campaigns", "0"])
+fn malformed_values_are_usage_errors_not_panics() {
+    for (args, flag) in [
+        (&["--seed", "abc"][..], "--seed"),
+        (&["--fast", "--json"][..], "--json"),
+        (&["--techniques", "nope"][..], "--techniques"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fuzz"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(exit_codes::USAGE),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.starts_with(&format!("error: {flag}: ")) && !stderr.contains("panicked"),
+            "{args:?}: one usage line expected, got: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn fuzz_with_zero_cases_exits_clean() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fuzz"))
+        .args(["--fast", "--cases", "0"])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("0 campaign(s)"),
+        stdout.contains("0 case(s), 0 failure(s)"),
         "summary line expected, got: {stdout}"
     );
 }

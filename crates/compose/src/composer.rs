@@ -332,7 +332,8 @@ enum ReusePlan {
     /// re-verification gate) instead of annealing.
     Replay {
         entry: ReuseEntry,
-        /// CHAOS ONLY: accept the replay without re-verification.
+        /// FAULT INJECTION ONLY: accept the replay without
+        /// re-verification.
         skip_verify: bool,
     },
     /// Same fingerprint as an earlier block in this run: composed in
@@ -357,7 +358,8 @@ struct ReuseTrace {
     /// A replay was rejected by re-verification (fell through to a
     /// fresh search).
     exact_rejected: bool,
-    /// A replay was accepted *without* re-verification (chaos fault).
+    /// A replay was accepted *without* re-verification (the injected
+    /// `reuse-skip-verify` fault).
     unverified_replay: bool,
     /// Evaluations the original composition spent, saved by replay.
     evals_saved: u64,
@@ -486,9 +488,9 @@ fn compose_block_planned(
                     }
                     if candidate.total_pulses() < original_pulses {
                         if *skip_verify {
-                            // CHAOS ONLY: trust the entry blindly. The
-                            // geyser-verify reuse invariant trips on the
-                            // nonzero unverified_replays counter.
+                            // FAULT INJECTION ONLY: trust the entry
+                            // blindly. The nonzero unverified_replays
+                            // counter shows it.
                             trace.exact_hit = true;
                             trace.unverified_replay = true;
                             trace.evals_saved += entry.evaluations;
@@ -1175,7 +1177,7 @@ fn publish_wave(
 /// for the restored blocks, so their followers may anneal fresh (and
 /// converge to a different, equally ε-verified candidate). Every replayed
 /// composition passes the same shared-oracle check as a fresh one
-/// unless the session's `reuse-skip-verify` chaos fault is armed.
+/// unless the session's injected `reuse-skip-verify` fault is armed.
 #[allow(clippy::too_many_arguments)]
 pub fn try_compose_blocked_circuit_reusing(
     blocked: &BlockedCircuit,

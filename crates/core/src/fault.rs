@@ -42,8 +42,8 @@ pub struct FaultInjector {
     pub reuse_poison: bool,
     /// Disables the ε re-check on reuse replays — cached compositions
     /// are trusted blindly. Combined with `reuse-poison` this lets
-    /// garbage escape into the output; the geyser-verify reuse
-    /// invariant (nonzero `unverified_replays`) must trip on it.
+    /// garbage escape into the output, and the nonzero
+    /// `unverified_replays` counter must show it.
     pub reuse_skip_verify: bool,
     /// Composition-stage faults (corrupted candidates, per-block worker
     /// panics).
@@ -100,9 +100,9 @@ impl std::error::Error for FaultSpecError {}
 /// The splitmix64 increment (the golden-ratio constant).
 const SPLITMIX64_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One splitmix64 draw — the workspace's standard dependency-free
-/// generator: fault plans and the chaos schedules draw from it.
-pub fn splitmix64(state: u64) -> u64 {
+/// One splitmix64 draw — the dependency-free generator
+/// [`FaultInjector::sampled`] draws its fault plans from.
+fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(SPLITMIX64_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -153,9 +153,9 @@ impl FaultInjector {
     }
 
     /// Renders the plan back into `--inject` syntax, the inverse of
-    /// [`FaultInjector::parse`]. Chaos campaigns use this to report
-    /// exactly which fault composition each campaign ran, in a form
-    /// that can be replayed verbatim with `--inject`.
+    /// [`FaultInjector::parse`]. `fuzz` files it in each quarantine
+    /// entry, so `replay` reruns the reproducer under exactly the
+    /// fault plan it failed under.
     pub fn spec(&self) -> String {
         let mut tokens: Vec<String> = Vec::new();
         for p in &self.panic_passes {

@@ -57,7 +57,7 @@ pub use evaluate::{
     estimated_success_probability, evaluate_tvd, ideal_logical_distribution, try_evaluate_tvd,
     try_evaluate_tvd_traced, TvdReport,
 };
-pub use fault::{splitmix64, FaultInjector, FaultSpecError};
+pub use fault::{FaultInjector, FaultSpecError};
 pub use geyser_store::{
     decode_record, encode_record, read_record_file, read_record_file_quarantining,
     write_record_atomic, RecordError, RecordPayload, StoreCorruption, StoreReadError,

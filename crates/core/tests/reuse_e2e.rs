@@ -3,8 +3,12 @@
 //! cost-plus-mixer block, so the reuse index should resolve most
 //! blocks after the first layer without touching the annealer.
 
+use geyser::compose::Ansatz;
 use geyser::workloads::qaoa_fixed;
-use geyser::{verify_compiled, CompiledCircuit, PassManager, PipelineConfig, Technique, Telemetry};
+use geyser::{
+    verify_compiled, CompiledCircuit, FaultInjector, PassManager, PipelineConfig, Technique,
+    Telemetry,
+};
 use geyser_verify::VerifyConfig;
 
 /// Compiles `circuit` with the Geyser technique under `cfg`, returning
@@ -149,6 +153,76 @@ fn store_written_by_the_previous_search_is_stale_not_replayed() {
         second.mapped().circuit().ops(),
         first.mapped().circuit().ops()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites every *negative* entry of the reuse store in `dir` as a
+/// bogus `composed` record with plausible 1-layer ansatz parameters —
+/// simulated bit-rot whose frames and schema still verify, so only the
+/// ε re-verification gate stands between the garbage and the output.
+/// Returns how many entries were rewritten.
+fn doctor_reuse_store(dir: &std::path::Path) -> u64 {
+    let ansatz = Ansatz::new(1);
+    let mut doctored = 0;
+    for path in geyser::store::walk_files(dir).unwrap() {
+        if !geyser_reuse::is_reuse_entry(&path) {
+            continue;
+        }
+        let payload = geyser::store::read_record_file(&path).unwrap();
+        let mut record = geyser_reuse::parse_reuse_record(payload.text()).unwrap();
+        if record.outcome == "composed" {
+            continue;
+        }
+        record.outcome = "composed".to_string();
+        record.layers = 1;
+        record.hsd = 1e-9;
+        record.params = (0..ansatz.num_params())
+            .map(|i| 0.11 + 0.37 * i as f64)
+            .collect();
+        let json = serde_json::to_string_pretty(&record).unwrap();
+        geyser::store::write_record_atomic(&path, &json).unwrap();
+        doctored += 1;
+    }
+    doctored
+}
+
+#[test]
+fn doctored_store_bounces_off_the_epsilon_gate_unless_it_is_skipped() {
+    let dir = scratch_dir("doctored");
+    let circuit = qaoa_fixed(4, 4, 7);
+    let mut cfg = PipelineConfig::fast().with_seed(7).with_reuse_store(&dir);
+    // One layer and one restart keep every block's search short; the
+    // test stresses the replay gate, not the annealer.
+    cfg.composition.max_layers = 1;
+    cfg.composition.anneal_iters = cfg.composition.anneal_iters.min(8);
+    cfg.composition.restarts = 1;
+    cfg.composition.retry_attempts = 0;
+    let vcfg = VerifyConfig::default().with_seed(7);
+    let run = |faults: FaultInjector| {
+        let compiled = PassManager::for_technique(Technique::Geyser)
+            .with_faults(faults)
+            .run(&circuit, &cfg)
+            .expect("QAOA compiles");
+        let stats = compiled.report().unwrap().reuse.unwrap();
+        (compiled, stats)
+    };
+
+    let (seeded, _) = run(FaultInjector::none());
+    assert!(verify_compiled(&circuit, &seeded, &vcfg).equivalent);
+    assert!(doctor_reuse_store(&dir) > 0, "no negative entry to doctor");
+
+    // A clean recompile must bounce every bogus replay off the ε gate.
+    let (clean, stats) = run(FaultInjector::none());
+    assert!(stats.exact_hits_rejected > 0, "{stats:?}");
+    assert_eq!(stats.unverified_replays, 0, "{stats:?}");
+    let verdict = verify_compiled(&circuit, &clean, &vcfg);
+    assert!(verdict.equivalent, "doctored store leaked: {verdict:?}");
+
+    // With the gate switched off, poisoned replays escape and the
+    // counter shows it.
+    let planted = FaultInjector::parse("reuse-poison,reuse-skip-verify").unwrap();
+    let (_, stats) = run(planted);
+    assert!(stats.unverified_replays > 0, "{stats:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

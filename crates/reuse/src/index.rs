@@ -159,8 +159,8 @@ pub struct ReuseStats {
     /// New entries written back to the persistent store.
     pub store_entries_saved: u64,
     /// Replays accepted *without* ε re-verification. Always zero
-    /// unless the `reuse-skip-verify` chaos fault is injected; the
-    /// reused-composition invariant trips on any nonzero value.
+    /// unless the `reuse-skip-verify` fault is injected; the reuse
+    /// integration tests assert it stays zero on a clean compile.
     pub unverified_replays: u64,
 }
 
@@ -223,9 +223,9 @@ impl ReuseSession {
         self
     }
 
-    /// CHAOS ONLY: disables the ε re-verification gate on replays so
-    /// a poisoned store entry escapes into the output (and must be
-    /// caught by the end-to-end oracle / chaos invariant).
+    /// FAULT INJECTION ONLY: disables the ε re-verification gate on
+    /// replays so a poisoned store entry escapes into the output (and
+    /// shows in the nonzero `unverified_replays` counter).
     pub fn with_skip_verify_fault(mut self, on: bool) -> Self {
         self.skip_verify = on;
         self
@@ -342,7 +342,7 @@ impl ReuseSession {
         self.exact.get(key)
     }
 
-    /// CHAOS ONLY: deterministically corrupts the parameters of every
+    /// FAULT INJECTION ONLY: deterministically corrupts the parameters of every
     /// indexed composed entry, simulating a stale or bit-rotted store
     /// whose frames still verify. The ε re-verification gate must
     /// reject every poisoned replay.

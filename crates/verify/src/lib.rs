@@ -14,23 +14,16 @@
 //!   shrinks failing circuits to 1-minimal reproducers.
 //! * [`quarantine`] — the on-disk corpus of minimized reproducers
 //!   that `replay` re-runs as regression tests.
-//! * [`invariants`] — the plain-data global invariants chaos
-//!   campaigns hold the compile pipeline to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fuzz;
-pub mod invariants;
 pub mod minimize;
 pub mod oracle;
 pub mod quarantine;
 
 pub use fuzz::{derive_seed, generate_case, generate_cases, FuzzCase, FuzzOptions};
-pub use invariants::{
-    check_campaign_jobs, check_reuse, ChaosInvariant, InvariantViolation, JobObservation,
-    ReuseObservation,
-};
 pub use minimize::{minimize, MinimizeStats};
 pub use oracle::{
     composition_allowance, verify_block_candidate, verify_circuits, verify_embedded, verify_mapped,

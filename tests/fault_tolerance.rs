@@ -6,9 +6,10 @@
 use std::time::Duration;
 
 use geyser::passes::{AllocateLatticePass, BlockPass, ComposePass, MapPass, SeamCleanupPass};
+use geyser::verifier::VerifyConfig;
 use geyser::{
-    evaluate_tvd, try_evaluate_tvd_traced, CancelToken, CompileContext, CompileError,
-    FaultInjector, Pass, PassManager, PipelineConfig, Technique, Telemetry,
+    evaluate_tvd, try_evaluate_tvd_traced, verify_compiled, CancelToken, CompileContext,
+    CompileError, FaultInjector, Pass, PassManager, PipelineConfig, Technique, Telemetry,
 };
 use geyser_sim::{NoiseModel, SimError, SimFaults, MAX_TRAJECTORY_RETRIES};
 use geyser_workloads::{ghz, qaoa};
@@ -345,8 +346,10 @@ fn cancel_frees_a_hung_pass_within_bounded_time() {
 fn every_fault_spec_ends_gracefully_or_typed() {
     // The acceptance sweep: each injectable scenario must finish with
     // either a compiled circuit or a typed CompileError — the process
-    // must never abort or hang.
+    // must never abort or hang. A fault may cost a typed error, never
+    // correctness: every graceful outcome must pass the oracle.
     let program = ghz(4);
+    let vcfg = VerifyConfig::default();
     let specs = [
         "pass-panic:allocate-lattice",
         "pass-panic:block",
@@ -356,20 +359,28 @@ fn every_fault_spec_ends_gracefully_or_typed() {
         "compose-panic:0,compose-corrupt:1",
         "compose-timeout,compose-panic:0",
     ];
-    for spec in specs {
-        let plan = FaultInjector::parse(spec).unwrap();
-        let outcome = PassManager::for_technique(Technique::Geyser)
-            .with_faults(plan)
-            .run(&program, &fast());
-        match (spec.contains("pass-panic"), outcome) {
-            (true, Err(CompileError::PassPanicked { .. })) => {}
-            (false, Ok(compiled)) => {
-                // Graceful paths must still produce an equivalent circuit.
-                let tvd = evaluate_tvd(&compiled, &program, &NoiseModel::noiseless(), 1, 0);
-                assert!(tvd.compilation_tvd < 1e-2, "spec '{spec}' diverged");
-            }
-            (expected_panic, other) => {
-                panic!("spec '{spec}' (panic={expected_panic}) ended with {other:?}")
+    for technique in [Technique::Baseline, Technique::Geyser] {
+        for spec in specs {
+            let plan = FaultInjector::parse(spec).unwrap();
+            let manager = PassManager::for_technique(technique);
+            // A pass panic only fires in pipelines that run the pass.
+            let panics = plan
+                .panic_passes
+                .iter()
+                .any(|p| manager.pass_names().contains(&p.as_str()));
+            let outcome = manager.with_faults(plan).run(&program, &fast());
+            match (panics, outcome) {
+                (true, Err(CompileError::PassPanicked { .. })) => {}
+                (false, Ok(compiled)) => {
+                    let verdict = verify_compiled(&program, &compiled, &vcfg);
+                    assert!(
+                        verdict.equivalent,
+                        "{technique:?} under '{spec}' miscompiled: {verdict:?}"
+                    );
+                }
+                (expected_panic, other) => panic!(
+                    "{technique:?} under '{spec}' (panic={expected_panic}) ended with {other:?}"
+                ),
             }
         }
     }
